@@ -13,7 +13,6 @@ from .gfext import (
     RAMIFIED_PRIMES,
     FrobeniusClass,
     ModulusMismatch,
-    PolyModP,
     QuotientRing,
     RamifiedPrime,
     RingElement,
@@ -21,8 +20,7 @@ from .gfext import (
     SplittingType,
     distinct_roots,
     frobenius_orbit,
-    poly_mul,
-    poly_pow,
+    frobenius_power,
     splitting_type,
 )
 from .modmath import (
@@ -34,8 +32,6 @@ from .modmath import (
     inv_mod,
     is_prime,
     jacobi,
-    mul_mod,
-    pow_mod,
     primes_in_range,
     require_prime,
     sqrt_mod,
@@ -78,7 +74,6 @@ __all__ = [
     "NotInvertible",
     "NotPrime",
     "ObstructionReport",
-    "PolyModP",
     "QuotientRing",
     "RAMIFIED_PRIMES",
     "RamifiedPrime",
@@ -92,15 +87,12 @@ __all__ = [
     "build_root_context",
     "distinct_roots",
     "frobenius_orbit",
+    "frobenius_power",
     "frobenius_reduction_check",
     "inv_mod",
     "is_prime",
     "jacobi",
-    "mul_mod",
     "obstruction_check",
-    "poly_mul",
-    "poly_pow",
-    "pow_mod",
     "primes_in_range",
     "represent",
     "represent_bruteforce",

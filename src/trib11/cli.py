@@ -217,7 +217,12 @@ def cmd_splitting(p: int) -> int:
 
 
 def _configure_logging() -> None:
-    level = _LOG_LEVELS.get(os.environ.get("TRIB_LOG", "quiet"), logging.WARNING)
+    name = os.environ.get("TRIB_LOG", "quiet")
+    level = _LOG_LEVELS.get(name)
+    if level is None:
+        valid = ", ".join(_LOG_LEVELS)
+        click.echo(f"warning: unknown TRIB_LOG value {name!r}, expected one of {valid}", err=True)
+        level = logging.WARNING
     logging.basicConfig(level=level, stream=sys.stderr, format="%(name)s: %(message)s")
 
 

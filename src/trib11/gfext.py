@@ -6,6 +6,9 @@ factors are 2 and 11.  For every other prime the factorization shape of
 f mod p lands in one of three classes matching the conjugacy classes of
 S3, exposed here as `splitting_type` / `frobenius_orbit`.
 
+Every power in F_p[x]/(f) goes through one kernel, `_pow3`; the scan's
+per-prime facts all come from the single power x^p (`frobenius_power`).
+
 A small generic quotient ring F_p[x]/(m) for monic m of degree 1..3 is
 also provided; it carries the three ambient rings (the prime field, a
 quadratic extension, the full cubic extension) the explicit Tribonacci
@@ -21,6 +24,7 @@ from .modmath import (
     InvalidModulus,
     PrimeLike,
     inv_mod,
+    jacobi,
     require_prime,
     sqrt_mod,
 )
@@ -52,6 +56,11 @@ class Shape(enum.Enum):
     RAMIFIED_TRIPLE = "RamifiedTriple"
     RAMIFIED_DOUBLE = "RamifiedDouble"
 
+    @property
+    def frobenius_class(self) -> "FrobeniusClass":
+        """The conjugacy class of Frobenius at a prime with this shape."""
+        return _SHAPE_CLASS[self]
+
 
 class FrobeniusClass(enum.Enum):
     """Conjugacy class in S3 of the Frobenius automorphism (or Ramified)."""
@@ -80,48 +89,6 @@ class SplittingType:
     frobenius_class: FrobeniusClass
 
 
-@dataclass(frozen=True)
-class PolyModP:
-    """c0 + c1*x + c2*x^2 in F_p[x]/(f), coefficients canonical in [0, p)."""
-
-    coeffs: tuple[int, int, int]
-    p: int
-
-    def __post_init__(self) -> None:
-        if self.p < 2:
-            raise InvalidModulus(f"modulus must be at least 2, got {self.p}")
-        c0, c1, c2 = self.coeffs
-        object.__setattr__(self, "coeffs", (c0 % self.p, c1 % self.p, c2 % self.p))
-
-    @classmethod
-    def const(cls, c: int, p: int) -> "PolyModP":
-        return cls((c, 0, 0), p)
-
-    @classmethod
-    def x(cls, p: int) -> "PolyModP":
-        return cls((0, 1, 0), p)
-
-    def __mul__(self, other: "PolyModP") -> "PolyModP":
-        return poly_mul(self, other)
-
-    def __pow__(self, exp: int) -> "PolyModP":
-        return poly_pow(self, exp)
-
-
-def poly_mul(a: PolyModP, b: PolyModP) -> PolyModP:
-    """Product in F_p[x]/(f), reduced through x^3 = x^2 + x + 1."""
-    if a.p != b.p:
-        raise ModulusMismatch(f"moduli differ: {a.p} and {b.p}")
-    return PolyModP(_mul3(a.coeffs, b.coeffs, a.p), a.p)
-
-
-def poly_pow(a: PolyModP, exp: int) -> PolyModP:
-    """a**exp in F_p[x]/(f) by square-and-multiply; exp 0 gives 1."""
-    if exp < 0:
-        raise ValueError(f"exponent must be non-negative, got {exp}")
-    return PolyModP(_pow3(a.coeffs, exp, a.p), a.p)
-
-
 def _mul3(a, b, p):
     # schoolbook product of two degree<3 polys, then fold x^3 and x^4:
     # x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1
@@ -136,6 +103,7 @@ def _mul3(a, b, p):
 
 
 def _pow3(a, exp, p):
+    # a**exp in Z_p[x]/(f) for exp >= 0; f is monic, so any modulus p >= 2 works
     r = (1 % p, 0, 0)
     while exp:
         if exp & 1:
@@ -144,6 +112,30 @@ def _pow3(a, exp, p):
         if exp:
             a = _mul3(a, a, p)
     return r
+
+
+def frobenius_power(p: PrimeLike) -> tuple[tuple[int, int, int], Shape]:
+    """x^p in F_p[x]/(f), whose x^2 coefficient is T_{p-1} mod p, and the shape of f mod p.
+
+    x^p = x exactly when f has three distinct roots.  Otherwise, as
+    disc(f) = -11 * 2^2, Frobenius is an even permutation (a 3-cycle)
+    iff (-11|p) = 1, and a transposition iff (-11|p) = -1.  The ramified
+    primes 2 and 11 keep their fixed shapes.
+    """
+    pv = require_prime(p)
+    x = (0, 1, 0)
+    xp = _pow3(x, pv, pv)
+    if pv == 2:
+        shape = Shape.RAMIFIED_TRIPLE
+    elif pv == 11:
+        shape = Shape.RAMIFIED_DOUBLE
+    elif xp == x:
+        shape = Shape.THREE_DISTINCT_ROOTS
+    elif jacobi(-11, pv) == -1:
+        shape = Shape.ONE_ROOT_PLUS_IRREDUCIBLE_QUADRATIC
+    else:
+        shape = Shape.IRREDUCIBLE
+    return xp, shape
 
 
 def _f_eval(r: int, p: int) -> int:

@@ -1,7 +1,7 @@
 """Modular arithmetic over machine-scale moduli.
 
-Primitives (multiplication, exponentiation, inversion, Jacobi symbol,
-square roots), exact primality testing, and a segmented prime stream.
+Primitives (inversion, Jacobi symbol, square roots), exact primality
+testing, and a segmented prime stream.
 Residues are plain ints kept canonical in [0, p); moduli are bounded by
 2**63 so every intermediate product stays far below anything Python's
 integers would struggle with.
@@ -10,6 +10,7 @@ integers would struggle with.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
 from typing import Iterator, Union
 
@@ -70,18 +71,6 @@ def require_prime(p: PrimeLike) -> int:
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     return p
-
-
-def mul_mod(a: int, b: int, p: int) -> int:
-    """(a * b) mod p, exact; Python ints give the double-width product for free."""
-    return a * b % p
-
-
-def pow_mod(base: int, exp: int, p: int) -> int:
-    """base**exp mod p by square-and-multiply; 0**0 is 1 by convention."""
-    if exp < 0:
-        raise ValueError(f"exponent must be non-negative, got {exp}")
-    return pow(base, exp, p)
 
 
 def inv_mod(a: int, p: int) -> int:
@@ -203,13 +192,11 @@ def primes_in_range(lo: int, hi: int) -> Iterator[int]:
     lo = max(lo, 2)
     if lo >= hi:
         return
-    base = _primes_upto(isqrt(hi - 1))
+    base = _prime_flags(isqrt(hi - 1))
     for seg_lo in range(lo, hi, _SEGMENT):
         seg_hi = min(seg_lo + _SEGMENT, hi)
         seg = bytearray(b"\x01") * (seg_hi - seg_lo)
-        for q in base:
-            if q * q >= seg_hi:
-                break
+        for q in compress(range(isqrt(seg_hi - 1) + 1), base):
             start = max(q * q, -(-seg_lo // q) * q)
             if start < seg_hi:
                 seg[start - seg_lo :: q] = b"\x00" * ((seg_hi - 1 - start) // q + 1)
@@ -218,13 +205,15 @@ def primes_in_range(lo: int, hi: int) -> Iterator[int]:
                 yield seg_lo + i
 
 
-def _primes_upto(n: int) -> list[int]:
-    # plain sieve, inclusive; only used for the base primes up to sqrt(hi)
+def _prime_flags(n: int) -> bytearray:
+    # plain sieve, inclusive: flag i is 1 iff i is prime.  Only used for the
+    # base primes up to sqrt(hi); flags, not a list of ints, because near
+    # 10**16 that list would hold ~6e6 ints, about 230 MB.
     if n < 2:
-        return []
+        return bytearray(n + 1)
     s = bytearray(b"\x01") * (n + 1)
     s[0] = s[1] = 0
     for i in range(2, isqrt(n) + 1):
         if s[i]:
             s[i * i :: i] = b"\x00" * ((n - i * i) // i + 1)
-    return [i for i, f in enumerate(s) if f]
+    return s

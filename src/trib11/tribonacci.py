@@ -1,8 +1,8 @@
 """Tribonacci numbers three ways.
 
 Exact values by big-integer iteration (the reference the other routes are
-judged against), T_n mod m in O(log n) through powers of the companion
-matrix, and the explicit root formula evaluated in F_p or whichever
+judged against), T_n mod m in O(log n) as a coefficient of a power of x
+in Z_m[x]/(f), and the explicit root formula evaluated in F_p or whichever
 extension of F_p the roots of x^3 - x^2 - x - 1 land in.
 
 Indexing is fixed by T_0 = 0, T_1 = T_2 = 1, T_3 = 2.
@@ -19,6 +19,7 @@ from .gfext import (
     RamifiedPrime,
     RingElement,
     Shape,
+    _pow3,
     splitting_type,
 )
 from .modmath import InvalidModulus, ModPrime, PrimeLike, inv_mod, require_prime
@@ -47,44 +48,18 @@ def trib_exact(n: int) -> int:
     return c
 
 
-def _mat_mul(A, B, m):
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = A
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = B
-    return (
-        (a0 * b0 + a1 * b3 + a2 * b6) % m,
-        (a0 * b1 + a1 * b4 + a2 * b7) % m,
-        (a0 * b2 + a1 * b5 + a2 * b8) % m,
-        (a3 * b0 + a4 * b3 + a5 * b6) % m,
-        (a3 * b1 + a4 * b4 + a5 * b7) % m,
-        (a3 * b2 + a4 * b5 + a5 * b8) % m,
-        (a6 * b0 + a7 * b3 + a8 * b6) % m,
-        (a6 * b1 + a7 * b4 + a8 * b7) % m,
-        (a6 * b2 + a7 * b5 + a8 * b8) % m,
-    )
-
-
 def trib_mod(n: int, m: int) -> int:
-    """T_n mod m by binary powering of the companion matrix [[1,1,1],[1,0,0],[0,1,0]].
+    """T_n mod m as the x^2 coefficient of x^(n+1) in Z_m[x]/(f).
 
-    Works for any modulus m >= 2 and any index that fits in memory as an
-    integer; cost is O(log n) little 3x3 multiplications.
+    In Z[x]/(f), x^k = T_{k-1} x^2 + (T_{k-2} + T_{k-3}) x + T_{k-2}.
+    Since f is monic this holds mod any m >= 2, and the cost is O(log n)
+    ring multiplications.
     """
     if m < 2:
         raise InvalidModulus(f"modulus must be at least 2, got {m}")
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
-    one = 1 % m
-    r = (one, 0, 0, 0, one, 0, 0, 0, one)
-    M = (one, one, one, one, 0, 0, 0, one, 0)
-    e = n
-    while e:
-        if e & 1:
-            r = _mat_mul(r, M, m)
-        e >>= 1
-        if e:
-            M = _mat_mul(M, M, m)
-    # bottom row of M^n against the seed column (T_2, T_1, T_0) = (1, 1, 0)
-    return (r[6] + r[7]) % m
+    return _pow3((0, 1, 0), n + 1, m)[2]
 
 
 @dataclass(frozen=True)
@@ -159,9 +134,9 @@ def trib_via_roots(n: int, ctx: RootFormulaContext) -> int:
 def frobenius_reduction_check(p: PrimeLike) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Both sides of delta*T_{p-1} = alpha^p(beta-gamma) - beta^p(alpha-gamma) + gamma^p(alpha-beta).
 
-    The left side goes through the companion-matrix route, the right side
-    through ring exponentiation of each root; the two coefficient tuples
-    returned must be equal at every unramified prime.
+    The left side goes through `trib_mod`, the right side through ring
+    exponentiation of each root; the two coefficient tuples returned must
+    be equal at every unramified prime.
     """
     ctx = build_root_context(p)
     pv = ctx.p

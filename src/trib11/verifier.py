@@ -1,8 +1,10 @@
 """Range verification of the divisibility / quadratic-form equivalence.
 
-For every prime p the scanner computes three independent facts: whether p
-divides T_{p-1}, whether p = x^2 + 11y^2, and how x^3 - x^2 - x - 1
-factors mod p.  Outside the two known exceptional primes 11 and 19 the
+For every prime p the scanner computes three facts: whether p divides
+T_{p-1}, whether p = x^2 + 11y^2, and how x^3 - x^2 - x - 1 factors mod
+p.  The first and third come from one power x^p in F_p[x]/(f)
+(`frobenius_power`); the second from Cornacchia, which shares nothing
+with that kernel.  Outside the two known exceptional primes 11 and 19 the
 first two must agree (and both must match the completely-split shape);
 any other disagreement flags the whole report as FAILED.
 
@@ -17,7 +19,7 @@ import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .gfext import FrobeniusClass, Shape, splitting_type
+from .gfext import FrobeniusClass, Shape, frobenius_power, splitting_type
 from .modmath import ModPrime, PrimeLike, primes_in_range, require_prime
 from .quadform import represent
 from .tribonacci import trib_mod
@@ -79,11 +81,11 @@ def verdict(p: PrimeLike) -> VerdictRecord:
 
 
 def _verdict(pv: int) -> VerdictRecord:
-    residue = trib_mod(pv - 1, pv)
-    divisible = residue == 0
     mp = ModPrime(pv)
+    xp, shape = frobenius_power(mp)
+    residue = xp[2]  # the x^2 coefficient of x^p is T_{p-1} mod p
+    divisible = residue == 0
     rep = represent(mp)
-    st = splitting_type(mp)
     consistent = divisible == rep.exists
     return VerdictRecord(
         p=pv,
@@ -92,8 +94,8 @@ def _verdict(pv: int) -> VerdictRecord:
         representable=rep.exists,
         rep_x=rep.x,
         rep_y=rep.y,
-        splitting=st.shape,
-        frobenius=st.frobenius_class,
+        splitting=shape,
+        frobenius=shape.frobenius_class,
         consistent=consistent,
         exceptional=not consistent,
     )
@@ -104,25 +106,35 @@ def _chunk_verdicts(bounds: tuple[int, int]) -> list[VerdictRecord]:
     return [_verdict(p) for p in primes_in_range(lo, hi)]
 
 
+def _chunk_classes(bounds: tuple[int, int]) -> list[tuple[int, FrobeniusClass, bool]]:
+    # (p, class by the gcd classifier, p | T_{p-1} by trib_mod) for obstruction_check
+    lo, hi = bounds
+    return [
+        (p, splitting_type(ModPrime(p)).frobenius_class, trib_mod(p - 1, p) == 0)
+        for p in primes_in_range(lo, hi)
+    ]
+
+
 def _chunked(lo: int, hi: int) -> list[tuple[int, int]]:
     return [(c, min(c + _CHUNK, hi)) for c in range(lo, hi, _CHUNK)]
 
 
-def _gather(lo: int, hi: int, workers: int) -> list[VerdictRecord]:
+def _map_chunks(chunk_fn, lo: int, hi: int, workers: int) -> list:
+    """chunk_fn over the fixed chunks of [lo, hi), per-prime results concatenated in order."""
     chunks = _chunked(lo, hi)
-    records: list[VerdictRecord] = []
+    results: list = []
 
     def collect(parts) -> None:
         for i, part in enumerate(parts, 1):
-            records.extend(part)
-            logger.debug("chunk %d/%d done (%d primes so far)", i, len(chunks), len(records))
+            results.extend(part)
+            logger.debug("chunk %d/%d done (%d primes so far)", i, len(chunks), len(results))
 
     if workers <= 1 or len(chunks) <= 1:
-        collect(map(_chunk_verdicts, chunks))
+        collect(map(chunk_fn, chunks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            collect(pool.map(_chunk_verdicts, chunks))
-    return records
+            collect(pool.map(chunk_fn, chunks))
+    return results
 
 
 def scan(lo: int, hi: int, workers: int = 1) -> ScanReport:
@@ -134,7 +146,7 @@ def scan(lo: int, hi: int, workers: int = 1) -> ScanReport:
     """
     if lo < 2 or hi < lo:
         raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi})")
-    records = _gather(lo, hi, workers)
+    records = _map_chunks(_chunk_verdicts, lo, hi, workers)
     counts = {cls: 0 for cls in FrobeniusClass}
     violations = []
     for rec in records:
@@ -157,22 +169,32 @@ def obstruction_check(lo: int, hi: int, workers: int = 1) -> ObstructionReport:
     Identity-class primes must divide T_{p-1}; a transposition-class
     prime may do so only if it divides 38; a 3-cycle-class prime p > 2
     never does.  Ramified primes carry no class and are only counted.
+
+    This pass does not reuse the scan's verdicts.  It classifies with the
+    gcd-based `splitting_type`, takes the residue from `trib_mod`, and
+    runs no Cornacchia.  "Identity => p | T_{p-1}" holds here by
+    construction: `trib_mod` and `splitting_type` share the power kernel
+    `_pow3`, and x^p = x leaves T_{p-1}, the x^2 coefficient, at zero.
+    Independent coverage of the residue comes from acceptance criteria
+    04 (`trib_via_roots`), 05 (`frobenius_reduction_check`) and 08
+    (`trib_exact`).  Criterion 06 compares `checked` with a scan's
+    `class_counts`, that is the fused Jacobi classifier of `verdict`
+    with the gcd classifier, over [2, 10^6).
     """
     if lo < 2 or hi < lo:
         raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi})")
     checked = {cls: 0 for cls in FrobeniusClass}
     failures: list[tuple[int, str]] = []
-    for rec in _gather(lo, hi, workers):
-        cls = rec.frobenius
+    for p, cls, divisible in _map_chunks(_chunk_classes, lo, hi, workers):
         checked[cls] += 1
         if cls is FrobeniusClass.IDENTITY:
-            if not rec.divisible:
-                failures.append((rec.p, "split prime does not divide T_{p-1}"))
+            if not divisible:
+                failures.append((p, "split prime does not divide T_{p-1}"))
         elif cls is FrobeniusClass.TRANSPOSITION:
-            if rec.divisible and 38 % rec.p != 0:
-                failures.append((rec.p, "transposition prime divides T_{p-1} but not 38"))
+            if divisible and 38 % p != 0:
+                failures.append((p, "transposition prime divides T_{p-1} but not 38"))
         elif cls is FrobeniusClass.THREE_CYCLE:
-            if rec.p > 2 and rec.divisible:
-                failures.append((rec.p, "3-cycle prime divides T_{p-1}"))
+            if p > 2 and divisible:
+                failures.append((p, "3-cycle prime divides T_{p-1}"))
     status = "FAILED" if failures else "OK"
     return ObstructionReport(lo, hi, checked, failures, status)

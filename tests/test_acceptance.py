@@ -86,7 +86,7 @@ def test_criterion_04_root_formula_matches_matrix_route():
         Shape.ONE_ROOT_PLUS_IRREDUCIBLE_QUADRATIC,
         Shape.IRREDUCIBLE,
     }
-    _pass(4, "root formula = matrix route for n <= 200, primes 3..500, all shapes")
+    _pass(4, "root formula = trib_mod for n <= 200, primes 3..500, all shapes")
 
 
 def test_criterion_05_frobenius_reduction_identity():

@@ -169,3 +169,13 @@ def test_record_lines_rejects_unknown_format():
 def test_summary_line_format():
     report = scan(2, 30)
     assert summary_line(report) == "violations: [11, 19]"
+
+
+def test_unknown_trib_log_warns_and_runs(capsys, monkeypatch):
+    monkeypatch.delenv("TRIB_LOG", raising=False)
+    quiet = run(capsys, "scan", "--to", "100", "--format", "csv")
+    monkeypatch.setenv("TRIB_LOG", "verbose")
+    rc, out, err = run(capsys, "scan", "--to", "100", "--format", "csv")
+    assert (rc, out) == quiet[:2]
+    assert err.count("warning:") == 1
+    assert "'verbose'" in err and "quiet, info, debug" in err

@@ -1,3 +1,6 @@
+import random
+import warnings
+
 import pytest
 
 from trib11.gfext import (
@@ -6,17 +9,17 @@ from trib11.gfext import (
     RAMIFIED_PRIMES,
     FrobeniusClass,
     ModulusMismatch,
-    PolyModP,
     QuotientRing,
     RamifiedPrime,
     Shape,
+    _mul3,
+    _pow3,
     distinct_roots,
     frobenius_orbit,
-    poly_mul,
-    poly_pow,
+    frobenius_power,
     splitting_type,
 )
-from trib11.modmath import ModPrime, NotPrime
+from trib11.modmath import ModPrime, NotPrime, is_prime
 
 from oracles import f_eval, naive_root_multiplicity, naive_roots, sieve_list
 
@@ -36,51 +39,46 @@ def test_defining_cubic_discriminant():
             assert horner == f_eval(r, p)
 
 
+X = (0, 1, 0)
+
+
+def _cubic_ring(p):
+    return QuotientRing(p, (p - 1, p - 1, p - 1))  # F_p[x]/(f)
+
+
 def test_poly_mul_defining_relation():
-    p = 101
-    x = PolyModP.x(p)
-    x2 = PolyModP((0, 0, 1), p)
-    assert (x * x2).coeffs == (1, 1, 1)  # x^3 = x^2 + x + 1
+    assert _mul3(X, (0, 0, 1), 101) == (1, 1, 1)  # x^3 = x^2 + x + 1
 
 
 def test_poly_mul_identity_and_low_degree():
-    one = PolyModP.const(1, 5)
-    a = PolyModP((2, 3, 4), 5)
-    assert (one * a).coeffs == a.coeffs
+    assert _mul3((1, 0, 0), (2, 3, 4), 5) == (2, 3, 4)
     # (x+1)(x-1) = x^2 - 1, no reduction needed
-    assert (PolyModP((1, 1, 0), 5) * PolyModP((-1, 1, 0), 5)).coeffs == (4, 0, 1)
+    assert _mul3((1, 1, 0), (-1, 1, 0), 5) == (4, 0, 1)
 
 
 def test_poly_mul_modulus_mismatch():
     with pytest.raises(ModulusMismatch):
-        poly_mul(PolyModP.x(5), PolyModP.x(7))
+        _cubic_ring(5).gen() * _cubic_ring(7).gen()
 
 
 def test_poly_pow_basics():
-    p = 13
-    x = PolyModP.x(p)
-    assert poly_pow(x, 0).coeffs == (1, 0, 0)
-    assert poly_pow(x, 3).coeffs == (1, 1, 1)
-    assert (x**3).coeffs == (1, 1, 1)
+    assert _pow3(X, 0, 13) == (1, 0, 0)
+    assert _pow3(X, 3, 13) == (1, 1, 1)
+    assert (_cubic_ring(13).gen() ** 3).coeffs == (1, 1, 1)
 
 
 def test_poly_pow_matches_repeated_multiplication():
-    a = PolyModP((3, 1, 4), 101)
-    acc = PolyModP.const(1, 101)
+    a = (3, 1, 4)
+    acc = (1, 0, 0)
     for e in range(12):
-        assert poly_pow(a, e).coeffs == acc.coeffs
-        acc = acc * a
+        assert _pow3(a, e, 101) == acc
+        acc = _mul3(acc, a, 101)
 
 
 def test_poly_pow_frobenius_moves_root_mod_3():
     # f has no roots mod 3, so x -> x^3 cannot fix x
     assert naive_roots(3) == []
-    assert poly_pow(PolyModP.x(3), 3).coeffs != (0, 1, 0)
-
-
-def test_poly_pow_rejects_negative():
-    with pytest.raises(ValueError):
-        poly_pow(PolyModP.x(5), -1)
+    assert _pow3(X, 3, 3) != X
 
 
 def test_frobenius_orbit_representatives():
@@ -155,6 +153,55 @@ def test_splitting_matches_enumeration_below_10k():
     assert shapes_seen == set(Shape)
 
 
+def test_frobenius_power_examples():
+    cases = {
+        2: Shape.RAMIFIED_TRIPLE,
+        3: Shape.IRREDUCIBLE,
+        7: Shape.ONE_ROOT_PLUS_IRREDUCIBLE_QUADRATIC,
+        11: Shape.RAMIFIED_DOUBLE,
+        19: Shape.ONE_ROOT_PLUS_IRREDUCIBLE_QUADRATIC,
+        47: Shape.THREE_DISTINCT_ROOTS,
+    }
+    for p, shape in cases.items():
+        xp, got = frobenius_power(p)
+        assert got is shape is splitting_type(p).shape, p
+        assert xp == _pow3(X, p, p)
+    # the x^2 coefficient of x^p is T_{p-1} mod p: T_10 = 149, T_18 = 19*1027
+    assert frobenius_power(11)[0][2] == 149 % 11
+    assert frobenius_power(19)[0][2] == 0
+    assert frobenius_power(47)[0] == X
+    with pytest.raises(NotPrime):
+        frobenius_power(10)
+
+
+def test_splitting_matches_sympy_factorization():
+    """Differential check against sympy's factorization mod large primes."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.utilities.exceptions import SymPyDeprecationWarning
+
+    x = sympy.symbols("x")
+    by_degrees = {
+        (1, 1, 1): Shape.THREE_DISTINCT_ROOTS,
+        (1, 2): Shape.ONE_ROOT_PLUS_IRREDUCIBLE_QUADRATIC,
+        (3,): Shape.IRREDUCIBLE,
+    }
+    rng = random.Random(20261017)
+    seen = set()
+    for _ in range(30):
+        p = rng.randrange(2**40, 2**63 - 25)
+        while not is_prime(p):
+            p += 1
+        with warnings.catch_warnings():
+            # sympy 1.14 warns about its own ModularInteger comparisons here
+            warnings.simplefilter("ignore", SymPyDeprecationWarning)
+            _, factors = sympy.factor_list(x**3 - x**2 - x - 1, modulus=p)
+        degrees = tuple(sorted(sympy.degree(g, x) for g, k in factors for _ in range(k)))
+        shape = splitting_type(ModPrime(p)).shape
+        assert shape is by_degrees[degrees], p
+        seen.add(shape)
+    assert seen == set(by_degrees.values())
+
+
 def test_vieta_for_split_primes():
     for p in sieve_list(2000):
         st = splitting_type(ModPrime(p))
@@ -173,8 +220,8 @@ def test_cubic_extension_is_a_field():
         for c0 in range(p):
             for c1 in range(p):
                 for c2 in range(p):
-                    a = PolyModP((c0, c1, c2), p)
-                    assert poly_pow(a, p**3).coeffs == a.coeffs
+                    a = (c0, c1, c2)
+                    assert _pow3(a, p**3, p) == a
 
 
 def test_quotient_ring_degree_one_is_prime_field():
@@ -187,11 +234,10 @@ def test_quotient_ring_degree_one_is_prime_field():
 
 def test_quotient_ring_cubic_matches_poly_ops():
     p = 31
-    ring = QuotientRing(p, (p - 1, p - 1, p - 1))  # f itself
-    x = ring.gen()
+    x = _cubic_ring(p).gen()
     assert (x * x * x).coeffs == (1, 1, 1)
     for e in (0, 1, 2, 7, 31, 100):
-        assert (x**e).coeffs == poly_pow(PolyModP.x(p), e).coeffs
+        assert (x**e).coeffs == _pow3(X, e, p)
 
 
 def test_quotient_ring_quadratic():

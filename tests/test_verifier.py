@@ -2,6 +2,7 @@ import pytest
 
 from trib11.gfext import FrobeniusClass, Shape
 from trib11.modmath import NotPrime
+from trib11.quadform import represent_bruteforce
 from trib11.verifier import (
     KNOWN_EXCEPTIONS,
     obstruction_check,
@@ -9,7 +10,7 @@ from trib11.verifier import (
     verdict,
 )
 
-from oracles import sieve_list
+from oracles import naive_root_multiplicity, naive_roots, sieve_list, trib_list_mod
 
 
 def test_known_exceptions():
@@ -59,6 +60,30 @@ def test_verdict_2():
 def test_verdict_requires_prime():
     with pytest.raises(NotPrime):
         verdict(9)
+
+
+def _oracle_shape(p):
+    roots = naive_roots(p)
+    multiplicities = {naive_root_multiplicity(r, p) for r in roots}
+    if 3 in multiplicities:
+        return Shape.RAMIFIED_TRIPLE
+    if 2 in multiplicities:
+        return Shape.RAMIFIED_DOUBLE
+    return {
+        3: Shape.THREE_DISTINCT_ROOTS,
+        1: Shape.ONE_ROOT_PLUS_IRREDUCIBLE_QUADRATIC,
+        0: Shape.IRREDUCIBLE,
+    }[len(roots)]
+
+
+def test_verdict_matches_independent_oracles_below_5000():
+    """Residue, shape and representation of the fused verdict, against brute force."""
+    for p in sieve_list(5000):
+        rec = verdict(p)
+        assert rec.trib_residue == trib_list_mod(p, p)[p - 1], p
+        assert rec.splitting is _oracle_shape(p), p
+        rep = represent_bruteforce(p)
+        assert (rec.representable, rec.rep_x, rec.rep_y) == (rep.exists, rep.x, rep.y), p
 
 
 def test_scan_first_century():
