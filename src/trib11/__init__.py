@@ -18,7 +18,6 @@ from .gfext import (
     RingElement,
     Shape,
     SplittingType,
-    distinct_roots,
     frobenius_orbit,
     frobenius_power,
     splitting_type,
@@ -85,7 +84,6 @@ __all__ = [
     "SplittingType",
     "VerdictRecord",
     "build_root_context",
-    "distinct_roots",
     "frobenius_orbit",
     "frobenius_power",
     "frobenius_reduction_check",

@@ -20,7 +20,6 @@ from typing import IO, Iterable
 import click
 
 from . import verifier
-from .modmath import NotPrime
 from .quadform import represent as qf_represent
 from .tribonacci import EXACT_INDEX_LIMIT, IndexOutOfRange, trib_exact, trib_mod
 from .gfext import splitting_type
@@ -121,11 +120,7 @@ def cli() -> None:
 @click.argument("p", type=int)
 def cmd_verdict(p: int) -> int:
     """Full per-prime record for P; exit 2 if P is one of the exceptions."""
-    try:
-        rec = verifier.verdict(p)
-    except NotPrime as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
+    rec = verifier.verdict(p)
     for name, value in zip(CSV_COLUMNS, _row(rec)):
         click.echo(f"{name}: {value if value != '' else '-'}")
     return 2 if rec.exceptional else 0
@@ -169,11 +164,7 @@ def cmd_scan(start: int, stop: int, workers: int, fmt: str, out: str | None) -> 
 @click.argument("p", type=int)
 def cmd_represent(p: int) -> int:
     """Print x y with P = x^2 + 11y^2, or "none"."""
-    try:
-        rep = qf_represent(p)
-    except NotPrime as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
+    rep = qf_represent(p)
     click.echo(f"{rep.x} {rep.y}" if rep.exists else "none")
     return 0
 
@@ -205,11 +196,7 @@ def cmd_trib(n: int, m: int | None) -> int:
 @click.argument("p", type=int)
 def cmd_splitting(p: int) -> int:
     """How x^3 - x^2 - x - 1 factors modulo the prime P."""
-    try:
-        st = splitting_type(p)
-    except NotPrime as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
+    st = splitting_type(p)
     click.echo(f"shape: {st.shape.value}")
     click.echo(f"roots: {' '.join(map(str, st.roots)) if st.roots else '-'}")
     click.echo(f"frobenius: {st.frobenius_class.value}")

@@ -35,9 +35,6 @@ F_COEFFS = (-1, -1, -1, 1)
 #: discriminant of f; factors as -(2**2) * 11
 DISCRIMINANT = -44
 
-#: primes dividing the discriminant, where f mod p has repeated factors
-RAMIFIED_PRIMES = (2, 11)
-
 
 class RamifiedPrime(ValueError):
     """The operation needs a prime where f mod p is squarefree; 2 and 11 are not."""
@@ -79,14 +76,22 @@ _SHAPE_CLASS = {
     Shape.RAMIFIED_DOUBLE: FrobeniusClass.RAMIFIED,
 }
 
+_RAMIFIED_SHAPE = {2: Shape.RAMIFIED_TRIPLE, 11: Shape.RAMIFIED_DOUBLE}
+
+#: primes dividing the discriminant, where f mod p has repeated factors
+RAMIFIED_PRIMES = tuple(_RAMIFIED_SHAPE)
+
 
 @dataclass(frozen=True, slots=True)
 class SplittingType:
-    """Shape of f mod p, its distinct roots (ascending), and the Frobenius class."""
+    """Shape of f mod p and its distinct roots (ascending)."""
 
     shape: Shape
     roots: tuple[int, ...]
-    frobenius_class: FrobeniusClass
+
+    @property
+    def frobenius_class(self) -> FrobeniusClass:
+        return self.shape.frobenius_class
 
 
 def _mul3(a, b, p):
@@ -125,10 +130,8 @@ def frobenius_power(p: PrimeLike) -> tuple[tuple[int, int, int], Shape]:
     pv = require_prime(p)
     x = (0, 1, 0)
     xp = _pow3(x, pv, pv)
-    if pv == 2:
-        shape = Shape.RAMIFIED_TRIPLE
-    elif pv == 11:
-        shape = Shape.RAMIFIED_DOUBLE
+    if pv in _RAMIFIED_SHAPE:
+        shape = _RAMIFIED_SHAPE[pv]
     elif xp == x:
         shape = Shape.THREE_DISTINCT_ROOTS
     elif jacobi(-11, pv) == -1:
@@ -189,23 +192,24 @@ def _quadratic_roots(b: int, c: int, p: int) -> tuple[int, int]:
 
 
 def _cofactor_quadratic(r: int, p: int) -> tuple[int, int]:
-    # f = (x - r)(x^2 + bx + c) with b = r - 1, c = r^2 - r - 1
-    return (r - 1) % p, (r * r - r - 1) % p
+    # (c, b), constant term first, with f = (x - r)(x^2 + bx + c):
+    # b = r - 1, c = r^2 - r - 1
+    return (r * r - r - 1) % p, (r - 1) % p
 
 
-def _three_roots(p: int) -> tuple[int, int, int]:
+def _three_roots(p: int) -> tuple[int, ...]:
     """All roots of f mod p when f splits completely and is squarefree.
 
     Equal-degree splitting with a deterministic probe sequence: for
     a = 0, 1, 2, ... the gcd of f with (x+a)^((p-1)/2) - 1 collects the
     roots r whose shifted value r+a is a nonzero square, which separates
-    the three roots after a couple of probes.  Once any factor is split
-    off, the rest follows from the quadratic formula and the trace.
+    the three roots after a couple of probes.  Once one root r1 is known
+    (from a linear gcd, or from a quadratic gcd and the trace, since the
+    roots sum to 1), the other two come from the cofactor of (x - r1).
     """
     half = (p - 1) // 2
     f_list = [c % p for c in F_COEFFS]
     for a in range(p):
-        r1 = -1
         minus_a = (p - a) % p
         if _f_eval(minus_a, p) == 0:
             r1 = minus_a
@@ -216,15 +220,12 @@ def _three_roots(p: int) -> tuple[int, int, int]:
             if deg == 1:
                 r1 = (-h[0]) % p
             elif deg == 2:
-                r2, r3 = _quadratic_roots(h[1], h[0], p)
-                triple = sorted((r2, r3, (1 - r2 - r3) % p))
-                return triple[0], triple[1], triple[2]
+                r1 = (1 + h[1]) % p  # h = x^2 - (r2 + r3)x + r2*r3
             else:
                 continue
-        b, c = _cofactor_quadratic(r1, p)
+        c, b = _cofactor_quadratic(r1, p)
         r2, r3 = _quadratic_roots(b, c, p)
-        triple = sorted((r1, r2, r3))
-        return triple[0], triple[1], triple[2]
+        return tuple(sorted((r1, r2, r3)))
     raise ArithmeticError(f"no splitting probe succeeded mod {p}")
 
 
@@ -237,11 +238,9 @@ def splitting_type(p: PrimeLike) -> SplittingType:
     with roots found by direct enumeration.
     """
     pv = require_prime(p)
-    if pv == 2:
-        return SplittingType(Shape.RAMIFIED_TRIPLE, (1,), FrobeniusClass.RAMIFIED)
-    if pv == 11:
-        roots = tuple(r for r in range(11) if _f_eval(r, 11) == 0)
-        return SplittingType(Shape.RAMIFIED_DOUBLE, roots, FrobeniusClass.RAMIFIED)
+    if pv in _RAMIFIED_SHAPE:
+        roots = tuple(r for r in range(pv) if _f_eval(r, pv) == 0)
+        return SplittingType(_RAMIFIED_SHAPE[pv], roots)
     xp = _pow3((0, 1, 0), pv, pv)
     u = [xp[0], (xp[1] - 1) % pv, xp[2]]
     if not any(u):
@@ -256,12 +255,7 @@ def splitting_type(p: PrimeLike) -> SplittingType:
             shape, roots = Shape.ONE_ROOT_PLUS_IRREDUCIBLE_QUADRATIC, ((-g[0]) % pv,)
         else:
             raise ArithmeticError(f"impossible split-part degree {deg} mod {pv}")
-    return SplittingType(shape, roots, _SHAPE_CLASS[shape])
-
-
-def distinct_roots(p: PrimeLike) -> list[int]:
-    """The distinct roots of f in F_p, ascending (0 to 3 of them)."""
-    return list(splitting_type(p).roots)
+    return SplittingType(shape, roots)
 
 
 def frobenius_orbit(p: PrimeLike) -> int:

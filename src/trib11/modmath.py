@@ -180,35 +180,41 @@ def is_prime(n: int) -> bool:
 
 _SEGMENT = 1 << 16
 
+# base primes are sieved up to this bound, so a survivor below _BASE**2 = 2**40
+# is prime and one above it is finished with `is_prime`
+_BASE = 1 << 20
+
 
 def primes_in_range(lo: int, hi: int) -> Iterator[int]:
     """Yield every prime in [lo, hi) exactly once, ascending.
 
-    Segmented sieve: memory stays O(sqrt(hi) + segment) no matter how wide
-    the range is, so disjoint ranges can be sieved independently.
+    Segmented sieve by the primes up to min(sqrt(hi), 2**20): memory stays
+    O(2**20 + segment) no matter how wide or how high the range is, so
+    disjoint ranges can be sieved independently.  Survivors at or above
+    2**40 may be composite and are confirmed with `is_prime`.
     """
     if not 0 <= lo <= hi <= MAX_MODULUS:
         raise ValueError(f"bad range [{lo}, {hi})")
     lo = max(lo, 2)
     if lo >= hi:
         return
-    base = _prime_flags(isqrt(hi - 1))
+    base = _prime_flags(min(isqrt(hi - 1), _BASE))
     for seg_lo in range(lo, hi, _SEGMENT):
         seg_hi = min(seg_lo + _SEGMENT, hi)
         seg = bytearray(b"\x01") * (seg_hi - seg_lo)
-        for q in compress(range(isqrt(seg_hi - 1) + 1), base):
+        for q in compress(range(min(isqrt(seg_hi - 1), _BASE) + 1), base):
             start = max(q * q, -(-seg_lo // q) * q)
             if start < seg_hi:
                 seg[start - seg_lo :: q] = b"\x00" * ((seg_hi - 1 - start) // q + 1)
-        for i, flag in enumerate(seg):
-            if flag:
-                yield seg_lo + i
+        for n in compress(range(seg_lo, seg_hi), seg):
+            if n < _BASE * _BASE or is_prime(n):
+                yield n
 
 
 def _prime_flags(n: int) -> bytearray:
     # plain sieve, inclusive: flag i is 1 iff i is prime.  Only used for the
-    # base primes up to sqrt(hi); flags, not a list of ints, because near
-    # 10**16 that list would hold ~6e6 ints, about 230 MB.
+    # base primes up to 2**20; flags rather than a list of ints keep it at
+    # about 1 MB.
     if n < 2:
         return bytearray(n + 1)
     s = bytearray(b"\x01") * (n + 1)

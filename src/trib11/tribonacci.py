@@ -19,6 +19,7 @@ from .gfext import (
     RamifiedPrime,
     RingElement,
     Shape,
+    _cofactor_quadratic,
     _pow3,
     splitting_type,
 )
@@ -94,8 +95,7 @@ def build_root_context(p: PrimeLike) -> RootFormulaContext:
         alpha, beta, gamma = (ring.const(r) for r in st.roots)
     elif st.shape is Shape.ONE_ROOT_PLUS_IRREDUCIBLE_QUADRATIC:
         r = st.roots[0]
-        # quadratic cofactor of (x - r): x^2 + (r-1)x + (r^2 - r - 1)
-        ring = QuotientRing(pv, ((r * r - r - 1) % pv, (r - 1) % pv))
+        ring = QuotientRing(pv, _cofactor_quadratic(r, pv))
         alpha = ring.const(r)
         beta = ring.gen()
         gamma = beta**pv
@@ -110,6 +110,12 @@ def build_root_context(p: PrimeLike) -> RootFormulaContext:
     return RootFormulaContext(pv, st.shape, ring, alpha, beta, gamma, delta)
 
 
+def _alternating_sum(ctx: RootFormulaContext, k: int) -> RingElement:
+    # alpha^k(beta-gamma) - beta^k(alpha-gamma) + gamma^k(alpha-beta) = delta * T_{k-1}
+    a, b, g = ctx.alpha, ctx.beta, ctx.gamma
+    return a**k * (b - g) - b**k * (a - g) + g**k * (a - b)
+
+
 def trib_via_roots(n: int, ctx: RootFormulaContext) -> int:
     """T_n mod p from the alternating root-power combination.
 
@@ -121,14 +127,8 @@ def trib_via_roots(n: int, ctx: RootFormulaContext) -> int:
     """
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
-    a, b, g = ctx.alpha, ctx.beta, ctx.gamma
-    rhs = (
-        a ** (n + 1) * (b - g)
-        - b ** (n + 1) * (a - g)
-        + g ** (n + 1) * (a - b)
-    )
-    scaled = rhs * ctx.delta * ctx.ring.const(inv_mod(DISCRIMINANT, ctx.p))
-    return scaled.constant_value()
+    inv_disc = ctx.ring.const(inv_mod(DISCRIMINANT, ctx.p))
+    return (_alternating_sum(ctx, n + 1) * ctx.delta * inv_disc).constant_value()
 
 
 def frobenius_reduction_check(p: PrimeLike) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -140,7 +140,5 @@ def frobenius_reduction_check(p: PrimeLike) -> tuple[tuple[int, ...], tuple[int,
     """
     ctx = build_root_context(p)
     pv = ctx.p
-    a, b, g = ctx.alpha, ctx.beta, ctx.gamma
     lhs = ctx.delta * ctx.ring.const(trib_mod(pv - 1, pv))
-    rhs = a**pv * (b - g) - b**pv * (a - g) + g**pv * (a - b)
-    return lhs.coeffs, rhs.coeffs
+    return lhs.coeffs, _alternating_sum(ctx, pv).coeffs

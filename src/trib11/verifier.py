@@ -16,11 +16,12 @@ results are merged back in ascending order.
 from __future__ import annotations
 
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .gfext import FrobeniusClass, Shape, frobenius_power, splitting_type
-from .modmath import ModPrime, PrimeLike, primes_in_range, require_prime
+from .modmath import MAX_MODULUS, ModPrime, PrimeLike, primes_in_range, require_prime
 from .quadform import represent
 from .tribonacci import trib_mod
 
@@ -56,12 +57,20 @@ class ScanReport:
     records: list[VerdictRecord]
     class_counts: dict[FrobeniusClass, int]
     violations: list[int]
-    identity_density: float
-    status: str  # "OK" when violations stay inside the known exceptions
 
     @property
     def n_primes(self) -> int:
         return len(self.records)
+
+    @property
+    def identity_density(self) -> float:
+        n = len(self.records)
+        return self.class_counts[FrobeniusClass.IDENTITY] / n if n else 0.0
+
+    @property
+    def status(self) -> str:
+        """"OK" when the violations stay inside the known exceptions, else "FAILED"."""
+        return "OK" if KNOWN_EXCEPTIONS.issuperset(self.violations) else "FAILED"
 
 
 @dataclass
@@ -72,7 +81,10 @@ class ObstructionReport:
     hi: int
     checked: dict[FrobeniusClass, int]
     failures: list[tuple[int, str]]
-    status: str
+
+    @property
+    def status(self) -> str:
+        return "FAILED" if self.failures else "OK"
 
 
 def verdict(p: PrimeLike) -> VerdictRecord:
@@ -115,13 +127,16 @@ def _chunk_classes(bounds: tuple[int, int]) -> list[tuple[int, FrobeniusClass, b
     ]
 
 
-def _chunked(lo: int, hi: int) -> list[tuple[int, int]]:
-    return [(c, min(c + _CHUNK, hi)) for c in range(lo, hi, _CHUNK)]
-
-
 def _map_chunks(chunk_fn, lo: int, hi: int, workers: int) -> list:
-    """chunk_fn over the fixed chunks of [lo, hi), per-prime results concatenated in order."""
-    chunks = _chunked(lo, hi)
+    """chunk_fn over the fixed chunks of [lo, hi), per-prime results concatenated in order.
+
+    The range is checked before any chunk is built, and at most one
+    worker per chunk and per CPU is started.
+    """
+    if not 2 <= lo <= hi <= MAX_MODULUS:
+        raise ValueError(f"need 2 <= lo <= hi <= 2**63, got [{lo}, {hi})")
+    chunks = [(c, min(c + _CHUNK, hi)) for c in range(lo, hi, _CHUNK)]
+    workers = min(workers, len(chunks), os.cpu_count() or 1)
     results: list = []
 
     def collect(parts) -> None:
@@ -129,7 +144,7 @@ def _map_chunks(chunk_fn, lo: int, hi: int, workers: int) -> list:
             results.extend(part)
             logger.debug("chunk %d/%d done (%d primes so far)", i, len(chunks), len(results))
 
-    if workers <= 1 or len(chunks) <= 1:
+    if workers <= 1:
         collect(map(chunk_fn, chunks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -144,8 +159,6 @@ def scan(lo: int, hi: int, workers: int = 1) -> ScanReport:
     representable disagreeing; 11 and 19 themselves are expected findings
     and are reported, not suppressed.
     """
-    if lo < 2 or hi < lo:
-        raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi})")
     records = _map_chunks(_chunk_verdicts, lo, hi, workers)
     counts = {cls: 0 for cls in FrobeniusClass}
     violations = []
@@ -153,14 +166,10 @@ def scan(lo: int, hi: int, workers: int = 1) -> ScanReport:
         counts[rec.frobenius] += 1
         if rec.exceptional:
             violations.append(rec.p)
-    n = len(records)
-    density = counts[FrobeniusClass.IDENTITY] / n if n else 0.0
-    unexpected = [p for p in violations if p not in KNOWN_EXCEPTIONS]
-    status = "FAILED" if unexpected else "OK"
-    logger.info(
-        "scan [%d, %d): %d primes, violations %s, status %s", lo, hi, n, violations, status
-    )
-    return ScanReport(lo, hi, records, counts, violations, density, status)
+    report = ScanReport(lo, hi, records, counts, violations)
+    logger.info("scan [%d, %d): %d primes, violations %s, status %s",
+                lo, hi, report.n_primes, violations, report.status)
+    return report
 
 
 def obstruction_check(lo: int, hi: int, workers: int = 1) -> ObstructionReport:
@@ -181,8 +190,6 @@ def obstruction_check(lo: int, hi: int, workers: int = 1) -> ObstructionReport:
     `class_counts`, that is the fused Jacobi classifier of `verdict`
     with the gcd classifier, over [2, 10^6).
     """
-    if lo < 2 or hi < lo:
-        raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi})")
     checked = {cls: 0 for cls in FrobeniusClass}
     failures: list[tuple[int, str]] = []
     for p, cls, divisible in _map_chunks(_chunk_classes, lo, hi, workers):
@@ -196,5 +203,4 @@ def obstruction_check(lo: int, hi: int, workers: int = 1) -> ObstructionReport:
         elif cls is FrobeniusClass.THREE_CYCLE:
             if p > 2 and divisible:
                 failures.append((p, "3-cycle prime divides T_{p-1}"))
-    status = "FAILED" if failures else "OK"
-    return ObstructionReport(lo, hi, checked, failures, status)
+    return ObstructionReport(lo, hi, checked, failures)

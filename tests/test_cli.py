@@ -1,6 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
+import trib11
 from trib11.cli import CSV_COLUMNS, main, record_lines, summary_line
+from trib11.modmath import MAX_MODULUS, is_prime
 from trib11.verifier import scan
 
 from oracles import sieve_list
@@ -179,3 +186,48 @@ def test_unknown_trib_log_warns_and_runs(capsys, monkeypatch):
     assert (rc, out) == quiet[:2]
     assert err.count("warning:") == 1
     assert "'verbose'" in err and "quiet, info, debug" in err
+
+
+def _limit_address_space():
+    # runs in the child only: cap its address space at 512 MB
+    cap = 512 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def run_capped(*args):
+    """`python ARGS` in a child process limited to 512 MB of address space."""
+    env = dict(os.environ, PYTHONPATH=str(Path(trib11.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True,
+        text=True, timeout=120, preexec_fn=_limit_address_space,
+    )
+
+
+def test_scan_top_of_domain_in_bounded_memory():
+    lo = MAX_MODULUS - 20000
+    proc = run_capped(
+        "-m", "trib11", "scan", "--from", str(lo), "--to", str(MAX_MODULUS), "--format", "csv"
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert [int(l.split(",")[0]) for l in lines[1:-1]] == [
+        n for n in range(lo, MAX_MODULUS) if is_prime(n)
+    ]
+    assert lines[-1] == "violations: []"
+
+
+def test_range_beyond_domain_is_refused_at_once():
+    proc = run_capped("-m", "trib11", "scan", "--to", str(10**30))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: need 2 <= lo <= hi <= 2**63")
+    for fn in ("scan", "obstruction_check"):
+        proc = run_capped("-c", (
+            f"from trib11.verifier import {fn}\n"
+            "try:\n"
+            f"    {fn}(2, 2**63 + 1)\n"
+            "except ValueError:\n"
+            "    print('refused')\n"
+        ))
+        assert (proc.returncode, proc.stdout) == (0, "refused\n"), proc.stderr

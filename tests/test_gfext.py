@@ -14,7 +14,6 @@ from trib11.gfext import (
     Shape,
     _mul3,
     _pow3,
-    distinct_roots,
     frobenius_orbit,
     frobenius_power,
     splitting_type,
@@ -129,9 +128,9 @@ def test_splitting_rejects_composites():
 
 
 def test_distinct_roots_examples():
-    assert distinct_roots(2) == [1]
-    assert distinct_roots(7) == [3]
-    assert distinct_roots(47) == [5, 17, 26]
+    assert splitting_type(2).roots == (1,)
+    assert splitting_type(7).roots == (3,)
+    assert splitting_type(47).roots == (5, 17, 26)
 
 
 def test_splitting_matches_enumeration_below_10k():

@@ -1,9 +1,15 @@
-"""Property tests: `trib_mod` against iteration, the fused classifier against the other two."""
+"""Property tests over the whole domain [2, 2**63).
+
+`trib_mod` against iteration, the fused classifier against the other two,
+the prime source against `is_prime`, Cornacchia against the splitting
+shape, and `sqrt_mod` near the top of the domain.
+"""
 
 from hypothesis import given, settings, strategies as st
 
 from trib11.gfext import Shape, frobenius_orbit, frobenius_power, splitting_type
-from trib11.modmath import ModPrime, is_prime
+from trib11.modmath import MAX_MODULUS, ModPrime, is_prime, jacobi, primes_in_range, sqrt_mod
+from trib11.quadform import represent
 from trib11.tribonacci import trib_mod
 
 from oracles import trib_list_mod
@@ -41,3 +47,43 @@ def test_fused_classifier_matches_gcd_and_orbit(p):
     assert shape is splitting_type(ModPrime(p)).shape
     if p != 11:
         assert shape is _ORBIT_SHAPE[frobenius_orbit(ModPrime(p))]
+
+
+_WIDTH = 2000
+
+# windows anywhere in the domain, across 2**40 (where sieve survivors stop
+# being certainly prime), and ending at MAX_MODULUS
+window_starts = st.one_of(
+    st.integers(2, MAX_MODULUS - _WIDTH),
+    st.integers(2**40 - _WIDTH, 2**40),
+    st.integers(0, _WIDTH).map(lambda k: MAX_MODULUS - _WIDTH - k),
+)
+
+
+@settings(reproducible, max_examples=30)
+@given(lo=window_starts)
+def test_primes_in_range_matches_is_prime(lo):
+    hi = min(lo + _WIDTH, MAX_MODULUS)
+    assert list(primes_in_range(lo, hi)) == [n for n in range(lo, hi) if is_prime(n)]
+
+
+@reproducible
+@given(p=primes)
+def test_representable_iff_three_distinct_roots(p):
+    rep = represent(ModPrime(p))
+    if rep.exists:
+        assert rep.x**2 + 11 * rep.y**2 == p
+    if p != 11:
+        _, shape = frobenius_power(ModPrime(p))
+        assert rep.exists == (shape is Shape.THREE_DISTINCT_ROOTS)
+
+
+@reproducible
+@given(p=st.integers(2**63 - 2**32, 2**63 - 25).map(_next_prime), a=st.integers(0, 2**64))
+def test_sqrt_mod_round_trips_near_2_63(p, a):
+    r = sqrt_mod(a, p)
+    if r is None:
+        assert jacobi(a, p) == -1
+    else:
+        assert r * r % p == a % p and r <= p - r
+    assert sqrt_mod(a * a, p) == min(a % p, p - a % p)

@@ -1,7 +1,8 @@
 import pytest
 
+from trib11 import verifier
 from trib11.gfext import FrobeniusClass, Shape
-from trib11.modmath import NotPrime
+from trib11.modmath import MAX_MODULUS, NotPrime
 from trib11.quadform import represent_bruteforce
 from trib11.verifier import (
     KNOWN_EXCEPTIONS,
@@ -109,11 +110,51 @@ def test_scan_empty_range():
     assert report.identity_density == 0.0
 
 
-def test_scan_validates_range():
+def _no_sieve(lo, hi):
+    raise AssertionError(f"sieved [{lo}, {hi}) before the range check")
+
+
+def test_scan_validates_range(monkeypatch):
     with pytest.raises(ValueError):
         scan(1, 10)
     with pytest.raises(ValueError):
         scan(10, 5)
+    # hi above the domain is refused before sieving (lo = 2 is checked in a
+    # memory-capped child by tests/test_cli.py)
+    monkeypatch.setattr(verifier, "primes_in_range", _no_sieve)
+    with pytest.raises(ValueError):
+        scan(MAX_MODULUS - 10, MAX_MODULUS + 1)
+
+
+def test_scan_worker_count_is_clamped(monkeypatch):
+    started = []
+
+    class SerialPool:
+        # stands in for ProcessPoolExecutor: records max_workers, maps in-process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verifier, "_CHUNK", 100)
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 4)
+    serial = scan(2, 1000).records
+    assert started == []
+    assert scan(2, 1000, workers=100_000).records == serial  # 10 chunks, 4 CPUs
+    assert scan(2, 250, workers=100_000).records == serial[:53]  # 3 chunks
+    assert scan(2, 1000, workers=2).records == serial
+    assert started == [4, 3, 2]
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: None)  # unknown: one worker
+    assert scan(2, 1000, workers=100_000).records == serial
+    assert started == [4, 3, 2]
 
 
 def test_scan_worker_count_does_not_change_results():
@@ -145,6 +186,9 @@ def test_obstruction_small_range():
     assert 38 % 19 == 0
 
 
-def test_obstruction_validates_range():
+def test_obstruction_validates_range(monkeypatch):
     with pytest.raises(ValueError):
         obstruction_check(0, 10)
+    monkeypatch.setattr(verifier, "primes_in_range", _no_sieve)
+    with pytest.raises(ValueError):
+        obstruction_check(MAX_MODULUS - 10, MAX_MODULUS + 1)
