@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import nullcontext
 from typing import IO, Iterable
 
 import click
@@ -102,9 +103,7 @@ def record_lines(records: Iterable[VerdictRecord], fmt: str) -> Iterable[str]:
 
 
 def write_records(records: Iterable[VerdictRecord], fmt: str, stream: IO[str]) -> None:
-    for line in record_lines(records, fmt):
-        stream.write(line)
-        stream.write("\n")
+    stream.writelines(f"{line}\n" for line in record_lines(records, fmt))
 
 
 def summary_line(report: ScanReport) -> str:
@@ -142,17 +141,13 @@ def cmd_verdict(p: int) -> int:
               help="Write records to this file instead of stdout.")
 def cmd_scan(start: int, stop: int, workers: int, fmt: str, out: str | None) -> int:
     """Scan all primes in [FROM, TO) and report equivalence violations."""
-    if start < 2 or stop < start:
-        raise click.UsageError(f"need 2 <= from <= to, got [{start}, {stop})")
     if workers < 1:
         raise click.UsageError("--workers must be at least 1")
-    report = verifier.scan(start, stop, workers=workers)
+    report = ScanReport(start, stop)
+    records = report.tally(verifier.verdicts(start, stop, workers))
     try:
-        if out is not None:
-            with open(out, "w", encoding="utf-8") as fh:
-                write_records(report.records, fmt, fh)
-        else:
-            write_records(report.records, fmt, sys.stdout)
+        with open(out, "w", encoding="utf-8") if out is not None else nullcontext(sys.stdout) as fh:
+            write_records(records, fmt, fh)
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)
         return 1

@@ -31,25 +31,17 @@ class NotPrime(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class ModPrime:
-    """A modulus together with its primality certificate.
+    """A prime modulus, certified by whoever builds it.
 
-    Direct construction asserts the certificate and is meant for callers
-    that already know the answer (e.g. consumers of the sieve); use
-    `ModPrime.of` to have it checked.
+    Construction checks only the range; it is meant for callers that
+    already know the value is prime (e.g. consumers of the sieve).
     """
 
     p: int
-    is_prime: bool = True
 
     def __post_init__(self) -> None:
         if not 2 <= self.p < MAX_MODULUS:
             raise InvalidModulus(f"modulus out of range [2, 2**63): {self.p}")
-
-    @classmethod
-    def of(cls, n: int) -> "ModPrime":
-        if not 2 <= n < MAX_MODULUS:
-            raise InvalidModulus(f"modulus out of range [2, 2**63): {n}")
-        return cls(n, is_prime(n))
 
 
 PrimeLike = Union[int, ModPrime]
@@ -58,13 +50,11 @@ PrimeLike = Union[int, ModPrime]
 def require_prime(p: PrimeLike) -> int:
     """Return the integer value of a prime argument, validating bare ints.
 
-    A ModPrime is trusted via its certificate; an int is checked with
+    A ModPrime is trusted as a certificate; an int is checked with
     `is_prime` (so hot loops should build ModPrime once from a source that
     already guarantees primality, like the sieve).
     """
     if isinstance(p, ModPrime):
-        if not p.is_prime:
-            raise NotPrime(f"{p.p} is not prime")
         return p.p
     if not 2 <= p < MAX_MODULUS:
         raise NotPrime(f"not a prime in [2, 2**63): {p}")

@@ -10,15 +10,20 @@ any other disagreement flags the whole report as FAILED.
 
 Scans are deterministic regardless of worker count: the range is cut
 into fixed chunks, each chunk is processed by pure functions, and the
-results are merged back in ascending order.
+results are merged back in ascending order.  They stream: chunks are
+computed as their records are consumed, so any range of the domain runs
+in bounded memory.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .gfext import FrobeniusClass, Shape, frobenius_power, splitting_type
 from .modmath import MAX_MODULUS, ModPrime, PrimeLike, primes_in_range, require_prime
@@ -32,6 +37,9 @@ KNOWN_EXCEPTIONS = frozenset({11, 19})
 
 #: chunk width for scans; fixed so results never depend on worker count
 _CHUNK = 1 << 15
+
+#: chunks per worker submitted ahead of the consumer; bounds a parallel scan's memory
+_IN_FLIGHT = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,25 +60,38 @@ class VerdictRecord:
 
 @dataclass
 class ScanReport:
+    """Counts over the verdicts of [lo, hi); `records` is kept only by `scan`."""
+
     lo: int
     hi: int
-    records: list[VerdictRecord]
-    class_counts: dict[FrobeniusClass, int]
-    violations: list[int]
+    records: list[VerdictRecord] = field(default_factory=list)
+    class_counts: dict[FrobeniusClass, int] = field(
+        default_factory=lambda: dict.fromkeys(FrobeniusClass, 0))
+    violations: list[int] = field(default_factory=list)
 
     @property
     def n_primes(self) -> int:
-        return len(self.records)
+        return sum(self.class_counts.values())
 
     @property
     def identity_density(self) -> float:
-        n = len(self.records)
+        n = self.n_primes
         return self.class_counts[FrobeniusClass.IDENTITY] / n if n else 0.0
 
     @property
     def status(self) -> str:
         """"OK" when the violations stay inside the known exceptions, else "FAILED"."""
         return "OK" if KNOWN_EXCEPTIONS.issuperset(self.violations) else "FAILED"
+
+    def tally(self, records: Iterable[VerdictRecord]) -> Iterator[VerdictRecord]:
+        """Pass `records` through, counting each; log the summary when they end."""
+        for rec in records:
+            self.class_counts[rec.frobenius] += 1
+            if rec.exceptional:
+                self.violations.append(rec.p)
+            yield rec
+        logger.info("scan [%d, %d): %d primes, violations %s, status %s",
+                    self.lo, self.hi, self.n_primes, self.violations, self.status)
 
 
 @dataclass
@@ -127,48 +148,56 @@ def _chunk_classes(bounds: tuple[int, int]) -> list[tuple[int, FrobeniusClass, b
     ]
 
 
-def _map_chunks(chunk_fn, lo: int, hi: int, workers: int) -> list:
-    """chunk_fn over the fixed chunks of [lo, hi), per-prime results concatenated in order.
+def _map_chunks(chunk_fn, lo: int, hi: int, workers: int) -> Iterator:
+    """chunk_fn over the fixed chunks of [lo, hi), per-prime results streamed in order.
 
-    The range is checked before any chunk is built, and at most one
-    worker per chunk and per CPU is started.
+    The range is checked at once, before any chunk is computed, and at
+    most one worker per chunk and per CPU is started.
     """
     if not 2 <= lo <= hi <= MAX_MODULUS:
         raise ValueError(f"need 2 <= lo <= hi <= 2**63, got [{lo}, {hi})")
-    chunks = [(c, min(c + _CHUNK, hi)) for c in range(lo, hi, _CHUNK)]
-    workers = min(workers, len(chunks), os.cpu_count() or 1)
-    results: list = []
+    starts = range(lo, hi, _CHUNK)
+    workers = min(workers, len(starts), os.cpu_count() or 1)
+    bounds = ((c, min(c + _CHUNK, hi)) for c in starts)
+    parts = map(chunk_fn, bounds) if workers <= 1 else _pooled(chunk_fn, bounds, workers)
+    return _flatten(parts, len(starts))
 
-    def collect(parts) -> None:
-        for i, part in enumerate(parts, 1):
-            results.extend(part)
-            logger.debug("chunk %d/%d done (%d primes so far)", i, len(chunks), len(results))
 
-    if workers <= 1:
-        collect(map(chunk_fn, chunks))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            collect(pool.map(chunk_fn, chunks))
-    return results
+def _pooled(chunk_fn, bounds: Iterator[tuple[int, int]], workers: int) -> Iterator[list]:
+    # in order, with at most _IN_FLIGHT chunks per worker submitted and not yet consumed
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = deque(pool.submit(chunk_fn, b) for b in islice(bounds, _IN_FLIGHT * workers))
+        while pending:
+            part = pending.popleft().result()
+            pending.extend(pool.submit(chunk_fn, b) for b in islice(bounds, 1))  # the next, if any
+            yield part
+
+
+def _flatten(parts: Iterable[list], n_chunks: int) -> Iterator:
+    n = 0
+    for i, part in enumerate(parts, 1):
+        n += len(part)
+        logger.debug("chunk %d/%d done (%d primes so far)", i, n_chunks, n)
+        yield from part
+
+
+def verdicts(lo: int, hi: int, workers: int = 1) -> Iterator[VerdictRecord]:
+    """Verdicts for every prime in [lo, hi), ascending, computed as they are consumed.
+
+    The range is checked when this is called; a bad one raises ValueError.
+    """
+    return _map_chunks(_chunk_verdicts, lo, hi, workers)
 
 
 def scan(lo: int, hi: int, workers: int = 1) -> ScanReport:
-    """Verdicts for every prime in [lo, hi), merged ascending.
+    """Verdicts for every prime in [lo, hi), merged ascending and kept in `records`.
 
     The report is FAILED if any prime outside {11, 19} has divisible and
     representable disagreeing; 11 and 19 themselves are expected findings
     and are reported, not suppressed.
     """
-    records = _map_chunks(_chunk_verdicts, lo, hi, workers)
-    counts = {cls: 0 for cls in FrobeniusClass}
-    violations = []
-    for rec in records:
-        counts[rec.frobenius] += 1
-        if rec.exceptional:
-            violations.append(rec.p)
-    report = ScanReport(lo, hi, records, counts, violations)
-    logger.info("scan [%d, %d): %d primes, violations %s, status %s",
-                lo, hi, report.n_primes, violations, report.status)
+    report = ScanReport(lo, hi)
+    report.records.extend(report.tally(verdicts(lo, hi, workers)))
     return report
 
 

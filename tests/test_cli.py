@@ -1,9 +1,14 @@
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
+import threading
+from itertools import islice
 from pathlib import Path
+
+import pytest
 
 import trib11
 from trib11.cli import CSV_COLUMNS, main, record_lines, summary_line
@@ -120,8 +125,10 @@ def test_scan_empty(capsys):
 
 
 def test_scan_usage_errors(capsys):
-    assert run(capsys, "scan", "--from", "5", "--to", "4")[0] == 1
-    assert run(capsys, "scan", "--from", "1", "--to", "10")[0] == 1
+    for lo, hi in (("5", "4"), ("1", "10")):
+        assert run(capsys, "scan", "--from", lo, "--to", hi) == (
+            1, "", f"error: need 2 <= lo <= hi <= 2**63, got [{lo}, {hi})\n"
+        )
     assert run(capsys, "scan", "--to", "10", "--workers", "0")[0] == 1
     assert run(capsys, "scan")[0] == 1  # --to required
 
@@ -140,6 +147,15 @@ def test_scan_out_file_and_worker_determinism(tmp_path, capsys):
             paths.append(path)
         a, b = (p.read_bytes() for p in paths)
         assert a == b
+
+
+def test_refused_range_opens_no_output(tmp_path, capsys):
+    path = tmp_path / "out.csv"
+    for bounds in (("--from", "5", "--to", "4"), ("--to", str(10**21))):
+        rc, out, err = run(capsys, "scan", *bounds, "--format", "csv", "--out", str(path))
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: need 2 <= lo <= hi <= 2**63")
+        assert not path.exists()
 
 
 def test_scan_out_unwritable(capsys):
@@ -194,13 +210,39 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
-def run_capped(*args):
-    """`python ARGS` in a child process limited to 512 MB of address space."""
+def _kill_group(proc):
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:  # every process of the group has exited
+        pass
+
+
+def run_capped(*args, lines=None):
+    """`python ARGS` in a child process limited to 512 MB of address space.
+
+    The child leads a new session, so the workers it starts share its
+    process group.  With `lines`, only that many stdout lines are read;
+    then the whole group is killed, so a streaming test never runs a full
+    range or leaves workers behind.  A watchdog kills it after 120 s.
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(trib11.__file__).parents[1]))
-    return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True,
-        text=True, timeout=120, preexec_fn=_limit_address_space,
+    proc = subprocess.Popen(
+        [sys.executable, *args], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, preexec_fn=_limit_address_space, start_new_session=True,
     )
+    watchdog = threading.Timer(120, _kill_group, (proc,))
+    watchdog.start()
+    try:
+        if lines is None:
+            out, err = proc.communicate()
+        else:
+            out = "".join(islice(proc.stdout, lines))
+            _kill_group(proc)
+            err = proc.communicate()[1]
+    finally:
+        watchdog.cancel()
+        _kill_group(proc)
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
 
 
 def test_scan_top_of_domain_in_bounded_memory():
@@ -215,6 +257,26 @@ def test_scan_top_of_domain_in_bounded_memory():
         n for n in range(lo, MAX_MODULUS) if is_prime(n)
     ]
     assert lines[-1] == "violations: []"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scan_streams_a_range_too_large_to_hold(workers):
+    # [2, 2**62) holds about 10**17 primes: its first rows can only come from a stream
+    expected = list(record_lines(scan(2, 2000).records, "csv"))
+    proc = run_capped(
+        "-m", "trib11", "scan", "--from", "2", "--to", str(2**62),
+        "--format", "csv", "--workers", workers, lines=len(expected),
+    )
+    assert proc.stdout.splitlines() == expected, proc.stderr
+    assert proc.returncode == -signal.SIGKILL  # still streaming when stopped
+
+
+def test_info_log_summarises_the_scan(monkeypatch):
+    monkeypatch.setenv("TRIB_LOG", "info")
+    proc = run_capped("-m", "trib11", "scan", "--to", "100")
+    assert proc.returncode == 0, proc.stderr
+    summary = "trib11.verifier: scan [2, 100): 25 primes, violations [11, 19], status OK"
+    assert summary in proc.stderr.splitlines()
 
 
 def test_range_beyond_domain_is_refused_at_once():

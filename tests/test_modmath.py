@@ -219,18 +219,13 @@ def test_primes_in_range_validates():
 
 
 def test_modprime_certificates():
-    mp = ModPrime.of(47)
-    assert mp.p == 47 and mp.is_prime
-    assert not ModPrime.of(48).is_prime
-    assert require_prime(mp) == 47
+    assert require_prime(ModPrime(47)) == 47
     assert require_prime(47) == 47
     with pytest.raises(NotPrime):
         require_prime(48)
     with pytest.raises(NotPrime):
-        require_prime(ModPrime.of(48))
-    with pytest.raises(NotPrime):
         require_prime(1)
     with pytest.raises(InvalidModulus):
-        ModPrime.of(MAX_MODULUS)
+        ModPrime(MAX_MODULUS)
     with pytest.raises(InvalidModulus):
         ModPrime(1)

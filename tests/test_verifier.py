@@ -126,13 +126,26 @@ def test_scan_validates_range(monkeypatch):
         scan(MAX_MODULUS - 10, MAX_MODULUS + 1)
 
 
-def test_scan_worker_count_is_clamped(monkeypatch):
-    started = []
+class _Deferred:
+    # a future whose chunk runs in-process when its result is read
+    def __init__(self, pool, fn, arg):
+        self.pool, self.fn, self.arg = pool, fn, arg
+
+    def result(self):
+        self.pool.in_flight -= 1
+        return self.fn(self.arg)
+
+
+@pytest.fixture
+def serial_pools(monkeypatch):
+    """Stand-in for ProcessPoolExecutor that starts no process; the pools made, in order."""
+    pools = []
 
     class SerialPool:
-        # stands in for ProcessPoolExecutor: records max_workers, maps in-process
         def __init__(self, max_workers):
-            started.append(max_workers)
+            self.max_workers = max_workers
+            self.submitted = self.in_flight = self.peak = 0
+            pools.append(self)
 
         def __enter__(self):
             return self
@@ -140,21 +153,41 @@ def test_scan_worker_count_is_clamped(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, arg):
+            self.submitted += 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            return _Deferred(self, fn, arg)
 
     monkeypatch.setattr(verifier, "ProcessPoolExecutor", SerialPool)
+    return pools
+
+
+def test_scan_worker_count_is_clamped(serial_pools, monkeypatch):
     monkeypatch.setattr(verifier, "_CHUNK", 100)
     monkeypatch.setattr(verifier.os, "cpu_count", lambda: 4)
     serial = scan(2, 1000).records
-    assert started == []
+    assert serial_pools == []
     assert scan(2, 1000, workers=100_000).records == serial  # 10 chunks, 4 CPUs
     assert scan(2, 250, workers=100_000).records == serial[:53]  # 3 chunks
     assert scan(2, 1000, workers=2).records == serial
-    assert started == [4, 3, 2]
+    assert [pool.max_workers for pool in serial_pools] == [4, 3, 2]
     monkeypatch.setattr(verifier.os, "cpu_count", lambda: None)  # unknown: one worker
     assert scan(2, 1000, workers=100_000).records == serial
-    assert started == [4, 3, 2]
+    assert len(serial_pools) == 3
+
+
+def test_parallel_scan_keeps_few_chunks_in_flight(serial_pools, monkeypatch):
+    monkeypatch.setattr(verifier, "_CHUNK", 100)
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+    ahead = verifier._IN_FLIGHT * 2
+    assert scan(2, 10_000, workers=2).records == scan(2, 10_000).records
+    assert (serial_pools[0].submitted, serial_pools[0].peak) == (100, ahead)
+    # the first record of a huge range needs only the chunks submitted ahead of it
+    stream = verifier.verdicts(2, MAX_MODULUS, workers=2)
+    assert next(stream).p == 2
+    assert (serial_pools[1].submitted, serial_pools[1].peak) == (ahead + 1, ahead)
+    stream.close()
 
 
 def test_scan_worker_count_does_not_change_results():
