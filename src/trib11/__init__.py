@@ -26,9 +26,7 @@ from .modmath import (
     MAX_MODULUS,
     InvalidModulus,
     ModPrime,
-    NotInvertible,
     NotPrime,
-    inv_mod,
     is_prime,
     jacobi,
     primes_in_range,
@@ -70,7 +68,6 @@ __all__ = [
     "MAX_MODULUS",
     "ModPrime",
     "ModulusMismatch",
-    "NotInvertible",
     "NotPrime",
     "ObstructionReport",
     "QuotientRing",
@@ -87,7 +84,6 @@ __all__ = [
     "frobenius_orbit",
     "frobenius_power",
     "frobenius_reduction_check",
-    "inv_mod",
     "is_prime",
     "jacobi",
     "obstruction_check",

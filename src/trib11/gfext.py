@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from .modmath import (
     InvalidModulus,
     PrimeLike,
-    inv_mod,
     jacobi,
     require_prime,
     sqrt_mod,
@@ -158,7 +157,7 @@ def _rem(u: list[int], v: list[int], p: int) -> list[int]:
     # remainder of u modulo v over F_p; v nonzero, not necessarily monic
     u = u[:]
     dv = len(v) - 1
-    inv_lead = inv_mod(v[-1], p)
+    inv_lead = pow(v[-1], -1, p)
     while len(u) > dv:
         q = u[-1] * inv_lead % p
         if q:
@@ -176,7 +175,7 @@ def _gcd_poly(u: list[int], v: list[int], p: int) -> list[int]:
     while v:
         u, v = v, _rem(u, v, p)
     if u:
-        inv_lead = inv_mod(u[-1], p)
+        inv_lead = pow(u[-1], -1, p)
         u = [c * inv_lead % p for c in u]
     return u
 

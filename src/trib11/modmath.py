@@ -1,6 +1,6 @@
 """Modular arithmetic over machine-scale moduli.
 
-Primitives (inversion, Jacobi symbol, square roots), exact primality
+Primitives (Jacobi symbol, square roots), exact primality
 testing, and a segmented prime stream.
 Residues are plain ints kept canonical in [0, p); moduli are bounded by
 2**63 so every intermediate product stays far below anything Python's
@@ -19,10 +19,6 @@ MAX_MODULUS = 1 << 63
 
 class InvalidModulus(ValueError):
     """Modulus outside a function's contract (wrong parity, size, ...)."""
-
-
-class NotInvertible(ValueError):
-    """The residue has no inverse for the given modulus."""
 
 
 class NotPrime(ValueError):
@@ -61,14 +57,6 @@ def require_prime(p: PrimeLike) -> int:
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     return p
-
-
-def inv_mod(a: int, p: int) -> int:
-    """Inverse of a modulo a prime p."""
-    try:
-        return pow(a, -1, p)
-    except ValueError as exc:
-        raise NotInvertible(f"{a} is not invertible mod {p}") from exc
 
 
 def jacobi(a: int, n: int) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .modmath import PrimeLike, jacobi, require_prime, sqrt_mod
+from .modmath import PrimeLike, require_prime, sqrt_mod
 
 #: the fixed form coefficient; the public contract is x^2 + 11*y^2 only
 FORM_D = 11
@@ -36,10 +36,9 @@ def represent(p: PrimeLike) -> Representation:
     pv = require_prime(p)
     if pv < FORM_D:
         return represent_bruteforce(pv)
-    a = -FORM_D % pv
-    if jacobi(a, pv) == -1:
+    b = sqrt_mod(-FORM_D % pv, pv)
+    if b is None:  # -11 is not a square mod p
         return Representation(pv, None, None, False)
-    b = sqrt_mod(a, pv)
     prev = pv
     limit = isqrt(pv)
     while b > limit:

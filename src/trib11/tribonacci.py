@@ -23,7 +23,7 @@ from .gfext import (
     _pow3,
     splitting_type,
 )
-from .modmath import InvalidModulus, ModPrime, PrimeLike, inv_mod, require_prime
+from .modmath import InvalidModulus, ModPrime, PrimeLike, require_prime
 
 #: trib_exact refuses indexes above this; T_n has about 0.56*n bits
 EXACT_INDEX_LIMIT = 10**6
@@ -127,7 +127,7 @@ def trib_via_roots(n: int, ctx: RootFormulaContext) -> int:
     """
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
-    inv_disc = ctx.ring.const(inv_mod(DISCRIMINANT, ctx.p))
+    inv_disc = ctx.ring.const(pow(DISCRIMINANT, -1, ctx.p))
     return (_alternating_sum(ctx, n + 1) * ctx.delta * inv_disc).constant_value()
 
 

@@ -151,11 +151,14 @@ def _chunk_classes(bounds: tuple[int, int]) -> list[tuple[int, FrobeniusClass, b
 def _map_chunks(chunk_fn, lo: int, hi: int, workers: int) -> Iterator:
     """chunk_fn over the fixed chunks of [lo, hi), per-prime results streamed in order.
 
-    The range is checked at once, before any chunk is computed, and at
-    most one worker per chunk and per CPU is started.
+    The range and the worker count are checked at once, before any chunk
+    is computed or any pool exists, and at most one worker per chunk and
+    per CPU is started.
     """
     if not 2 <= lo <= hi <= MAX_MODULUS:
         raise ValueError(f"need 2 <= lo <= hi <= 2**63, got [{lo}, {hi})")
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
     starts = range(lo, hi, _CHUNK)
     workers = min(workers, len(starts), os.cpu_count() or 1)
     bounds = ((c, min(c + _CHUNK, hi)) for c in starts)
@@ -184,7 +187,8 @@ def _flatten(parts: Iterable[list], n_chunks: int) -> Iterator:
 def verdicts(lo: int, hi: int, workers: int = 1) -> Iterator[VerdictRecord]:
     """Verdicts for every prime in [lo, hi), ascending, computed as they are consumed.
 
-    The range is checked when this is called; a bad one raises ValueError.
+    The range and `workers` (at least 1) are checked when this is called;
+    a bad one raises ValueError.
     """
     return _map_chunks(_chunk_verdicts, lo, hi, workers)
 

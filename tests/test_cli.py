@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import resource
@@ -5,6 +6,7 @@ import signal
 import subprocess
 import sys
 import threading
+from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
 
@@ -63,6 +65,15 @@ def test_trib(capsys):
     assert run(capsys, "trib", "0")[1].strip() == "0"
     rc, out, _ = run(capsys, "trib", "18", "--mod", "19")
     assert rc == 0 and out.strip() == "0"
+
+
+def test_trib_refused_arguments_are_one_error_line(capsys):
+    assert run(capsys, "trib", "5", "--mod", "1") == (
+        1, "", "error: modulus must be at least 2, got 1\n"
+    )
+    assert run(capsys, "trib", "--", "-1") == (
+        1, "", "error: index must be non-negative, got -1\n"
+    )
 
 
 def test_trib_index_cap(capsys):
@@ -129,7 +140,9 @@ def test_scan_usage_errors(capsys):
         assert run(capsys, "scan", "--from", lo, "--to", hi) == (
             1, "", f"error: need 2 <= lo <= hi <= 2**63, got [{lo}, {hi})\n"
         )
-    assert run(capsys, "scan", "--to", "10", "--workers", "0")[0] == 1
+    assert run(capsys, "scan", "--to", "10", "--workers", "0") == (
+        1, "", "error: need workers >= 1, got 0\n"
+    )
     assert run(capsys, "scan")[0] == 1  # --to required
 
 
@@ -151,10 +164,14 @@ def test_scan_out_file_and_worker_determinism(tmp_path, capsys):
 
 def test_refused_range_opens_no_output(tmp_path, capsys):
     path = tmp_path / "out.csv"
-    for bounds in (("--from", "5", "--to", "4"), ("--to", str(10**21))):
-        rc, out, err = run(capsys, "scan", *bounds, "--format", "csv", "--out", str(path))
+    for args, refusal in (
+        (("--from", "5", "--to", "4"), "need 2 <= lo <= hi <= 2**63"),
+        (("--to", str(10**21)), "need 2 <= lo <= hi <= 2**63"),
+        (("--to", "10", "--workers", "0"), "need workers >= 1"),
+    ):
+        rc, out, err = run(capsys, "scan", *args, "--format", "csv", "--out", str(path))
         assert (rc, out) == (1, "")
-        assert err.startswith("error: need 2 <= lo <= hi <= 2**63")
+        assert err.startswith(f"error: {refusal}") and err.count("\n") == 1
         assert not path.exists()
 
 
@@ -211,19 +228,21 @@ def _limit_address_space():
 
 
 def _kill_group(proc):
+    """SIGKILL every process left in the child's group; False if none was left."""
     try:
         os.killpg(proc.pid, signal.SIGKILL)
     except ProcessLookupError:  # every process of the group has exited
-        pass
+        return False
+    return True
 
 
-def run_capped(*args, lines=None):
+@contextmanager
+def capped_child(*args):
     """`python ARGS` in a child process limited to 512 MB of address space.
 
     The child leads a new session, so the workers it starts share its
-    process group.  With `lines`, only that many stdout lines are read;
-    then the whole group is killed, so a streaming test never runs a full
-    range or leaves workers behind.  A watchdog kills it after 120 s.
+    process group, and the whole group is killed on leaving the block, so
+    no test leaves workers behind.  A watchdog kills it after 120 s.
     """
     env = dict(os.environ, PYTHONPATH=str(Path(trib11.__file__).parents[1]))
     proc = subprocess.Popen(
@@ -233,15 +252,26 @@ def run_capped(*args, lines=None):
     watchdog = threading.Timer(120, _kill_group, (proc,))
     watchdog.start()
     try:
+        yield proc
+    finally:
+        watchdog.cancel()
+        _kill_group(proc)
+        proc.communicate()
+
+
+def run_capped(*args, lines=None):
+    """Run `capped_child(*args)` to its end and return its CompletedProcess.
+
+    With `lines`, only that many stdout lines are read; then the whole
+    group is killed, so a streaming test never runs a full range.
+    """
+    with capped_child(*args) as proc:
         if lines is None:
             out, err = proc.communicate()
         else:
             out = "".join(islice(proc.stdout, lines))
             _kill_group(proc)
             err = proc.communicate()[1]
-    finally:
-        watchdog.cancel()
-        _kill_group(proc)
     return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
 
 
@@ -269,6 +299,31 @@ def test_scan_streams_a_range_too_large_to_hold(workers):
     )
     assert proc.stdout.splitlines() == expected, proc.stderr
     assert proc.returncode == -signal.SIGKILL  # still streaming when stopped
+
+
+def test_closed_stdout_ends_the_scan_quietly():
+    # a reader that stops early (`| head -3`): no error message, exit 1 (the range is
+    # unfinished), and the child takes its workers with it
+    with capped_child(
+        "-m", "trib11", "scan", "--to", str(2**62), "--workers", "2", "--format", "csv",
+    ) as proc:
+        head = list(islice(proc.stdout, 3))
+        proc.stdout.close()
+        err = proc.communicate()[1]
+        assert head == [f"{line}\n" for line in islice(record_lines(scan(2, 10).records, "csv"), 3)]
+        assert (proc.returncode, err) == (1, "")
+        assert not _kill_group(proc)
+
+
+def test_closed_stdout_is_an_exit_code_not_an_exception(monkeypatch, capsys):
+    class ClosedPipe(io.StringIO):
+        def write(self, s):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    monkeypatch.setattr(sys, "stderr", sys.stderr)  # click rewraps both streams; restore them
+    assert main(["scan", "--to", "100", "--format", "csv"]) == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_info_log_summarises_the_scan(monkeypatch):

@@ -6,9 +6,7 @@ from trib11.modmath import (
     MAX_MODULUS,
     InvalidModulus,
     ModPrime,
-    NotInvertible,
     NotPrime,
-    inv_mod,
     is_prime,
     jacobi,
     primes_in_range,
@@ -43,7 +41,7 @@ def test_mul_mod_commutes_and_inverts():
         a, b = rng.randrange(97), rng.randrange(97)
         assert a * b % 97 == b * a % 97
         if a:
-            assert a * inv_mod(a, 97) % 97 == 1
+            assert a * pow(a, -1, 97) % 97 == 1
 
 
 def test_pow_mod_empty_product_convention():
@@ -68,19 +66,13 @@ def test_pow_mod_fermat():
 
 
 def test_inv_mod_values():
-    assert inv_mod(1, 19) == 1
-    assert inv_mod(3, 19) == 13  # 39 = 2*19 + 1
+    assert pow(1, -1, 19) == 1
+    assert pow(3, -1, 19) == 13  # 39 = 2*19 + 1
+    assert pow(-44, -1, 19) == 3  # a negative base (the discriminant): -44 = 13 mod 19
     rng = random.Random(4)
     for _ in range(200):
         a = rng.randrange(1, 999983)
-        assert a * inv_mod(a, 999983) % 999983 == 1
-
-
-def test_inv_mod_zero_fails():
-    with pytest.raises(NotInvertible):
-        inv_mod(0, 19)
-    with pytest.raises(NotInvertible):
-        inv_mod(38, 19)
+        assert a * pow(a, -1, 999983) % 999983 == 1
 
 
 def test_jacobi_fixed_values():

@@ -190,6 +190,15 @@ def test_parallel_scan_keeps_few_chunks_in_flight(serial_pools, monkeypatch):
     stream.close()
 
 
+def test_worker_count_below_one_is_refused_at_once(serial_pools, monkeypatch):
+    monkeypatch.setattr(verifier, "primes_in_range", _no_sieve)
+    for fn in (scan, verifier.verdicts, obstruction_check):
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match=f"^need workers >= 1, got {workers}$"):
+                fn(2, 10**6, workers=workers)
+    assert serial_pools == []
+
+
 def test_scan_worker_count_does_not_change_results():
     solo = scan(2, 20000, workers=1)
     multi = scan(2, 20000, workers=3)
