@@ -158,6 +158,20 @@ def cmd_represent(p: int) -> int:
     return 0
 
 
+def _decimal(value: int) -> str:
+    # T_N has about 0.265*N digits, past Python's default cap on int-to-str
+    # conversion (4300 digits) from N of about 16,250.  Lift the cap for this
+    # one conversion only; Pythons before 3.10.7 have no cap.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 @cli.command("trib")
 @click.argument("n", type=int)
 @click.option("--mod", "m", type=int, default=None, help="Reduce modulo this value.")
@@ -165,13 +179,14 @@ def cmd_trib(n: int, m: int | None) -> int:
     """Print T_N exactly, or T_N mod M with --mod."""
     if m is None:
         try:
-            click.echo(trib_exact(n))
+            value = trib_exact(n)
         except IndexOutOfRange:
             click.echo(
                 f"error: exact values stop at index {EXACT_INDEX_LIMIT}; pass --mod",
                 err=True,
             )
             return 1
+        click.echo(_decimal(value))
         return 0
     click.echo(trib_mod(n, m))
     return 0

@@ -6,8 +6,9 @@ factors are 2 and 11.  For every other prime the factorization shape of
 f mod p lands in one of three classes matching the conjugacy classes of
 S3, exposed here as `splitting_type` / `frobenius_orbit`.
 
-Every power in F_p[x]/(f) goes through one kernel, `_pow3`; the scan's
-per-prime facts all come from the single power x^p (`frobenius_power`).
+Every power in F_p[x]/(f) goes through one square-and-shift ladder,
+`_xpow`, which takes (x + a)^n; the scan's per-prime facts all come from
+the single power x^p (`frobenius_power`).
 
 A small generic quotient ring F_p[x]/(m) for monic m of degree 1..3 is
 also provided; it carries the three ambient rings (the prime field, a
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from .modmath import (
     InvalidModulus,
     PrimeLike,
-    jacobi,
     require_prime,
     sqrt_mod,
 )
@@ -77,6 +77,12 @@ _SHAPE_CLASS = {
 
 _RAMIFIED_SHAPE = {2: Shape.RAMIFIED_TRIPLE, 11: Shape.RAMIFIED_DOUBLE}
 
+#: the nonzero squares mod 11: (-11|p) = (p|11) = 1 exactly for p mod 11 in this set
+_SQUARES_MOD_11 = frozenset({1, 3, 4, 5, 9})
+
+#: the residue class of x in F_p[x]/(f)
+_X = (0, 1, 0)
+
 #: primes dividing the discriminant, where f mod p has repeated factors
 RAMIFIED_PRIMES = tuple(_RAMIFIED_SHAPE)
 
@@ -93,29 +99,28 @@ class SplittingType:
         return self.shape.frobenius_class
 
 
-def _mul3(a, b, p):
-    # schoolbook product of two degree<3 polys, then fold x^3 and x^4:
-    # x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    c0 = a0 * b0
-    c1 = a0 * b1 + a1 * b0
-    c2 = a0 * b2 + a1 * b1 + a2 * b0
-    c3 = a1 * b2 + a2 * b1
-    c4 = a2 * b2
-    return ((c0 + c3 + c4) % p, (c1 + c3 + 2 * c4) % p, (c2 + c3 + 2 * c4) % p)
-
-
-def _pow3(a, exp, p):
-    # a**exp in Z_p[x]/(f) for exp >= 0; f is monic, so any modulus p >= 2 works
-    r = (1 % p, 0, 0)
-    while exp:
-        if exp & 1:
-            r = _mul3(r, a, p)
-        exp >>= 1
-        if exp:
-            a = _mul3(a, a, p)
-    return r
+def _xpow(n, m, a=0):
+    # (x + a)^n in Z_m[x]/(f) for n >= 0 and 0 <= a < m; f is monic, so any
+    # m >= 2 works.  Left to right over the bits of n: square r with 6
+    # products, folding x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1, then on a 1
+    # bit multiply by x + a.  For a = 0 that is the shift
+    # r*x = (r2, r0 + r2, r1 + r2), left unreduced: the next square or the
+    # final % brings it back below m.
+    r0, r1, r2 = 1, 0, 0
+    for bit in bin(n)[2:]:
+        t = r1 * r2
+        v = t + r2 * r2
+        r0, r1, r2 = (
+            (r0 * r0 + t + v) % m,
+            2 * (r0 * r1 + v) % m,
+            (2 * (r0 * r2 + v) + r1 * r1) % m,
+        )
+        if bit == "1":
+            if a:
+                r0, r1, r2 = r2 + a * r0, r0 + r2 + a * r1, r1 + r2 + a * r2
+            else:
+                r0, r1, r2 = r2, r0 + r2, r1 + r2
+    return r0 % m, r1 % m, r2 % m
 
 
 def frobenius_power(p: PrimeLike) -> tuple[tuple[int, int, int], Shape]:
@@ -123,20 +128,21 @@ def frobenius_power(p: PrimeLike) -> tuple[tuple[int, int, int], Shape]:
 
     x^p = x exactly when f has three distinct roots.  Otherwise, as
     disc(f) = -11 * 2^2, Frobenius is an even permutation (a 3-cycle)
-    iff (-11|p) = 1, and a transposition iff (-11|p) = -1.  The ramified
-    primes 2 and 11 keep their fixed shapes.
+    iff (-11|p) = 1, and a transposition iff (-11|p) = -1.  Since
+    -11 = 1 mod 4, reciprocity gives (-11|p) = (p|11), so the class is
+    read off p mod 11: Q(sqrt(-11)) is the quadratic subfield of the
+    splitting field.  The ramified primes 2 and 11 keep their fixed shapes.
     """
     pv = require_prime(p)
-    x = (0, 1, 0)
-    xp = _pow3(x, pv, pv)
+    xp = _xpow(pv, pv)
     if pv in _RAMIFIED_SHAPE:
         shape = _RAMIFIED_SHAPE[pv]
-    elif xp == x:
+    elif xp == _X:
         shape = Shape.THREE_DISTINCT_ROOTS
-    elif jacobi(-11, pv) == -1:
-        shape = Shape.ONE_ROOT_PLUS_IRREDUCIBLE_QUADRATIC
-    else:
+    elif pv % 11 in _SQUARES_MOD_11:
         shape = Shape.IRREDUCIBLE
+    else:
+        shape = Shape.ONE_ROOT_PLUS_IRREDUCIBLE_QUADRATIC
     return xp, shape
 
 
@@ -213,7 +219,7 @@ def _three_roots(p: int) -> tuple[int, ...]:
         if _f_eval(minus_a, p) == 0:
             r1 = minus_a
         else:
-            w = _pow3((a % p, 1, 0), half, p)
+            w = _xpow(half, p, a)
             h = _gcd_poly([(w[0] - 1) % p, w[1], w[2]], f_list, p)
             deg = len(h) - 1
             if deg == 1:
@@ -240,7 +246,7 @@ def splitting_type(p: PrimeLike) -> SplittingType:
     if pv in _RAMIFIED_SHAPE:
         roots = tuple(r for r in range(pv) if _f_eval(r, pv) == 0)
         return SplittingType(_RAMIFIED_SHAPE[pv], roots)
-    xp = _pow3((0, 1, 0), pv, pv)
+    xp = _xpow(pv, pv)
     u = [xp[0], (xp[1] - 1) % pv, xp[2]]
     if not any(u):
         shape = Shape.THREE_DISTINCT_ROOTS
@@ -262,14 +268,11 @@ def frobenius_orbit(p: PrimeLike) -> int:
     pv = require_prime(p)
     if pv in RAMIFIED_PRIMES:
         raise RamifiedPrime(f"Frobenius orbit undefined at ramified prime {pv}")
-    x = (0, 1, 0)
-    xp = _pow3(x, pv, pv)
-    if xp == x:
+    if _xpow(pv, pv) == _X:
         return 1
-    xpp = _pow3(xp, pv, pv)
-    if xpp == x:
+    if _xpow(pv**2, pv) == _X:
         return 2
-    if _pow3(xpp, pv, pv) != x:
+    if _xpow(pv**3, pv) != _X:
         raise ArithmeticError(f"Frobenius orbit of x mod {pv} exceeds 3")
     return 3
 

@@ -1,9 +1,10 @@
-"""Tribonacci numbers three ways.
+"""Tribonacci numbers two ways.
 
-Exact values by big-integer iteration (the reference the other routes are
-judged against), T_n mod m in O(log n) as a coefficient of a power of x
-in Z_m[x]/(f), and the explicit root formula evaluated in F_p or whichever
-extension of F_p the roots of x^3 - x^2 - x - 1 land in.
+T_n as the x^2 coefficient of x^(n+1) in Z_m[x]/(f), in O(log n) ring
+squarings: mod m, or exactly with m so large that no reduction bites; and
+the explicit root formula evaluated in F_p or whichever extension of F_p
+the roots of x^3 - x^2 - x - 1 land in.  Both are judged against plain
+iteration, the oracle in the test suite.
 
 Indexing is fixed by T_0 = 0, T_1 = T_2 = 1, T_3 = 2.
 """
@@ -20,7 +21,7 @@ from .gfext import (
     RingElement,
     Shape,
     _cofactor_quadratic,
-    _pow3,
+    _xpow,
     splitting_type,
 )
 from .modmath import InvalidModulus, ModPrime, PrimeLike, require_prime
@@ -34,19 +35,19 @@ class IndexOutOfRange(ValueError):
 
 
 def trib_exact(n: int) -> int:
-    """T_n as an exact integer, for 0 <= n <= 10**6."""
+    """T_n as an exact integer, for 0 <= n <= 10**6: `trib_mod`'s power of x, never reduced."""
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
     if n > EXACT_INDEX_LIMIT:
         raise IndexOutOfRange(
             f"exact evaluation capped at index {EXACT_INDEX_LIMIT}, got {n}"
         )
-    a, b, c = 0, 1, 1  # T_0, T_1, T_2
-    if n < 3:
-        return (a, b, c)[n]
-    for _ in range(n - 2):
-        a, b, c = b, c, a + b + c
-    return c
+    # The ladder only adds and multiplies non-negative values (f's reduction
+    # is x^3 = x^2 + x + 1), so every value it forms for x^(n+1) is an exact
+    # coefficient of some x^k with k <= n + 1: T_{k-2}, T_{k-2} + T_{k-3} or
+    # T_{k-1}.  Since T_k < 2^k, each is below 2^(n+2), so no reduction mod
+    # 2^(n+2) ever changes a value.
+    return _xpow(n + 1, 1 << (n + 2))[2]
 
 
 def trib_mod(n: int, m: int) -> int:
@@ -60,7 +61,7 @@ def trib_mod(n: int, m: int) -> int:
         raise InvalidModulus(f"modulus must be at least 2, got {m}")
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
-    return _pow3((0, 1, 0), n + 1, m)[2]
+    return _xpow(n + 1, m)[2]
 
 
 @dataclass(frozen=True)

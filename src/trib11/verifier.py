@@ -215,12 +215,12 @@ def obstruction_check(lo: int, hi: int, workers: int = 1) -> ObstructionReport:
     This pass does not reuse the scan's verdicts.  It classifies with the
     gcd-based `splitting_type`, takes the residue from `trib_mod`, and
     runs no Cornacchia.  "Identity => p | T_{p-1}" holds here by
-    construction: `trib_mod` and `splitting_type` share the power kernel
-    `_pow3`, and x^p = x leaves T_{p-1}, the x^2 coefficient, at zero.
+    construction: `trib_mod` and `splitting_type` share the power ladder
+    `_xpow`, and x^p = x leaves T_{p-1}, the x^2 coefficient, at zero.
     Independent coverage of the residue comes from acceptance criteria
     04 (`trib_via_roots`), 05 (`frobenius_reduction_check`) and 08
-    (`trib_exact`).  Criterion 06 compares `checked` with a scan's
-    `class_counts`, that is the fused Jacobi classifier of `verdict`
+    (plain iteration).  Criterion 06 compares `checked` with a scan's
+    `class_counts`, that is the fused p mod 11 classifier of `verdict`
     with the gcd classifier, over [2, 10^6).
     """
     checked = {cls: 0 for cls in FrobeniusClass}

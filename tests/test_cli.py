@@ -17,7 +17,7 @@ from trib11.cli import CSV_COLUMNS, main, record_lines, summary_line
 from trib11.modmath import MAX_MODULUS, is_prime
 from trib11.verifier import scan
 
-from oracles import sieve_list
+from oracles import sieve_list, trib_list_exact
 
 
 def run(capsys, *args):
@@ -82,6 +82,53 @@ def test_trib_index_cap(capsys):
     assert "--mod" in err
     rc, out, _ = run(capsys, "trib", "2000000", "--mod", "97")
     assert rc == 0 and out.strip().isdigit()
+
+
+@contextmanager
+def int_str_digits(limit):
+    """Python's cap on int-to-str digits set to `limit` (a no-op before 3.10.7)."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_trib_exact_past_the_digit_cap(capsys):
+    with int_str_digits(4300):  # Python's default
+        rc, out, err = run(capsys, "trib", "16500")
+    assert (rc, err) == (0, "")
+    with int_str_digits(0):  # lifted only to compare with the oracle
+        assert out == f"{trib_list_exact(16501)[16500]}\n"
+
+
+def test_trib_exact_at_the_index_limit(capsys):
+    with int_str_digits(4300):
+        rc, out, err = run(capsys, "trib", "1000000")
+    assert (rc, err) == (0, "")
+    digits = out.strip()
+    assert len(digits) == 264_649 and digits.isdigit()
+    rc, tail, _ = run(capsys, "trib", "1000000", "--mod", str(10**18))
+    assert rc == 0
+    assert digits[-18:] == tail.strip() == "466507007099574176"
+
+
+def test_trib_prints_where_python_has_no_digit_cap(capsys, monkeypatch):
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    assert run(capsys, "trib", "100") == (0, f"{trib_list_exact(101)[100]}\n", "")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str digit cap before Python 3.10.7")
+def test_trib_restores_the_digit_cap(capsys):
+    with int_str_digits(5000):
+        rc, out, _ = run(capsys, "trib", "20000")
+        assert sys.get_int_max_str_digits() == 5000
+    assert rc == 0 and len(out.strip()) > 5000
 
 
 def test_splitting(capsys):

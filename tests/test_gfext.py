@@ -12,8 +12,7 @@ from trib11.gfext import (
     QuotientRing,
     RamifiedPrime,
     Shape,
-    _mul3,
-    _pow3,
+    _xpow,
     frobenius_orbit,
     frobenius_power,
     splitting_type,
@@ -46,13 +45,19 @@ def _cubic_ring(p):
 
 
 def test_poly_mul_defining_relation():
-    assert _mul3(X, (0, 0, 1), 101) == (1, 1, 1)  # x^3 = x^2 + x + 1
+    ring = _cubic_ring(101)
+    assert (ring.gen() * ring.element((0, 0, 1))).coeffs == (1, 1, 1)  # x^3 = x^2 + x + 1
+    assert _xpow(3, 101) == (1, 1, 1)
+    assert _xpow(4, 101) == (1, 2, 2)  # x^4 = 2x^2 + 2x + 1
 
 
 def test_poly_mul_identity_and_low_degree():
-    assert _mul3((1, 0, 0), (2, 3, 4), 5) == (2, 3, 4)
+    ring = _cubic_ring(5)
+    assert (ring.const(1) * ring.element((2, 3, 4))).coeffs == (2, 3, 4)
     # (x+1)(x-1) = x^2 - 1, no reduction needed
-    assert _mul3((1, 1, 0), (-1, 1, 0), 5) == (4, 0, 1)
+    assert (ring.element((1, 1)) * ring.element((-1, 1))).coeffs == (4, 0, 1)
+    # (x+1)^2 = x^2 + 2x + 1, the ladder's multiply by x + a
+    assert _xpow(2, 5, 1) == (1, 2, 1)
 
 
 def test_poly_mul_modulus_mismatch():
@@ -61,23 +66,28 @@ def test_poly_mul_modulus_mismatch():
 
 
 def test_poly_pow_basics():
-    assert _pow3(X, 0, 13) == (1, 0, 0)
-    assert _pow3(X, 3, 13) == (1, 1, 1)
+    assert _xpow(0, 13) == (1, 0, 0)
+    assert _xpow(0, 13, 5) == (1, 0, 0)
+    assert _xpow(1, 13) == X
+    assert _xpow(1, 13, 5) == (5, 1, 0)
+    assert _xpow(3, 13) == (1, 1, 1)
     assert (_cubic_ring(13).gen() ** 3).coeffs == (1, 1, 1)
 
 
 def test_poly_pow_matches_repeated_multiplication():
-    a = (3, 1, 4)
-    acc = (1, 0, 0)
-    for e in range(12):
-        assert _pow3(a, e, 101) == acc
-        acc = _mul3(acc, a, 101)
+    ring = _cubic_ring(101)
+    for a in (0, 1, 3, 100):
+        base = ring.element((a, 1))
+        acc = ring.const(1)
+        for e in range(12):
+            assert _xpow(e, 101, a) == acc.coeffs, (a, e)
+            acc = acc * base
 
 
 def test_poly_pow_frobenius_moves_root_mod_3():
     # f has no roots mod 3, so x -> x^3 cannot fix x
     assert naive_roots(3) == []
-    assert _pow3(X, 3, 3) != X
+    assert _xpow(3, 3) != X
 
 
 def test_frobenius_orbit_representatives():
@@ -164,7 +174,7 @@ def test_frobenius_power_examples():
     for p, shape in cases.items():
         xp, got = frobenius_power(p)
         assert got is shape is splitting_type(p).shape, p
-        assert xp == _pow3(X, p, p)
+        assert xp == (_cubic_ring(p).gen() ** p).coeffs
     # the x^2 coefficient of x^p is T_{p-1} mod p: T_10 = 149, T_18 = 19*1027
     assert frobenius_power(11)[0][2] == 149 % 11
     assert frobenius_power(19)[0][2] == 0
@@ -216,11 +226,12 @@ def test_cubic_extension_is_a_field():
     # when f is irreducible mod p the quotient is F_{p^3}: a^(p^3) = a
     for p in (3, 5):
         assert splitting_type(p).shape is Shape.IRREDUCIBLE
+        ring = _cubic_ring(p)
         for c0 in range(p):
             for c1 in range(p):
                 for c2 in range(p):
-                    a = (c0, c1, c2)
-                    assert _pow3(a, p**3, p) == a
+                    a = ring.element((c0, c1, c2))
+                    assert a ** (p**3) == a
 
 
 def test_quotient_ring_degree_one_is_prime_field():
@@ -236,7 +247,7 @@ def test_quotient_ring_cubic_matches_poly_ops():
     x = _cubic_ring(p).gen()
     assert (x * x * x).coeffs == (1, 1, 1)
     for e in (0, 1, 2, 7, 31, 100):
-        assert (x**e).coeffs == _pow3(X, e, p)
+        assert (x**e).coeffs == _xpow(e, p)
 
 
 def test_quotient_ring_quadratic():

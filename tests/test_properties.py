@@ -1,13 +1,23 @@
 """Property tests over the whole domain [2, 2**63).
 
-`trib_mod` against iteration, the fused classifier against the other two,
-the prime source against `is_prime`, Cornacchia against the splitting
-shape, and `sqrt_mod` near the top of the domain.
+The power ladder against `QuotientRing`, `trib_mod` against iteration,
+the fused classifier against the other two and its p mod 11 rule against
+the Legendre symbol, the prime source against `is_prime`, Cornacchia
+against the splitting shape, and `sqrt_mod` near the top of the domain.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from trib11.gfext import Shape, frobenius_orbit, frobenius_power, splitting_type
+from trib11.gfext import (
+    F_COEFFS,
+    _SQUARES_MOD_11,
+    QuotientRing,
+    Shape,
+    _xpow,
+    frobenius_orbit,
+    frobenius_power,
+    splitting_type,
+)
 from trib11.modmath import MAX_MODULUS, ModPrime, is_prime, jacobi, primes_in_range, sqrt_mod
 from trib11.quadform import represent
 from trib11.tribonacci import trib_mod
@@ -32,6 +42,34 @@ def _next_prime(n: int) -> int:
 
 # 2**63 - 25 is the largest prime below 2**63, so the walk up stays below it
 primes = st.integers(3, 2**63 - 25).map(_next_prime)
+
+
+# moduli of every size, most of them composite, each with a shift a in [0, m)
+moduli_and_shifts = st.one_of(st.integers(2, 100), st.integers(2, 2**64 - 1)).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(0, m - 1))
+)
+
+
+@reproducible
+@given(n=st.integers(0, 2**80 - 1), ma=moduli_and_shifts)
+def test_xpow_matches_quotient_ring_power(n, ma):
+    # QuotientRing multiplies schoolbook and powers right to left: no shared code
+    m, a = ma
+    ring = QuotientRing(m, F_COEFFS[:3])
+    assert _xpow(n, m, a) == (ring.element((a, 1)) ** n).coeffs
+
+
+@reproducible
+@given(
+    p=st.one_of(st.integers(3, 10**4), st.integers(3, 2**63 - 25))
+    .map(_next_prime)
+    .filter(lambda p: p != 11)
+)
+def test_mod_11_classifier_is_the_legendre_symbol(p):
+    even = jacobi(-11, p) == 1
+    assert (p % 11 in _SQUARES_MOD_11) == even
+    _, shape = frobenius_power(ModPrime(p))
+    assert (shape in (Shape.THREE_DISTINCT_ROOTS, Shape.IRREDUCIBLE)) == even
 
 
 @reproducible
