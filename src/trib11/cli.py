@@ -15,7 +15,6 @@ Set TRIB_LOG to quiet, info or debug to control diagnostics on stderr.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import sys
@@ -49,43 +48,33 @@ _TABLE_WIDTHS = (9, 10, 9, 13, 6, 6, 31, 13, 10, 11)
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def _row(rec: VerdictRecord) -> tuple[str, ...]:
+    p, residue, div, rep, x, y, shape, cls, cons, exc = rec
     return (
-        _cell(rec.p),
-        _cell(rec.trib_residue),
-        _cell(rec.divisible),
-        _cell(rec.representable),
-        _cell(rec.rep_x),
-        _cell(rec.rep_y),
-        rec.splitting.value,
-        rec.frobenius.value,
-        _cell(rec.consistent),
-        _cell(rec.exceptional),
+        str(p),
+        str(residue),
+        "true" if div else "false",
+        "true" if rep else "false",
+        "" if x is None else str(x),
+        "" if y is None else str(y),
+        shape.value,
+        cls.value,
+        "true" if cons else "false",
+        "true" if exc else "false",
     )
 
 
 def _jsonl_obj(rec: VerdictRecord) -> str:
-    return json.dumps(
-        {
-            "p": rec.p,
-            "trib_residue": rec.trib_residue,
-            "divisible": rec.divisible,
-            "representable": rec.representable,
-            "rep_x": rec.rep_x,
-            "rep_y": rec.rep_y,
-            "splitting": rec.splitting.value,
-            "frobenius": rec.frobenius.value,
-            "consistent": rec.consistent,
-            "exceptional": rec.exceptional,
-        }
+    # the JSON object json.dumps writes for these keys, in this order
+    p, residue, div, rep, x, y, shape, cls, cons, exc = rec
+    return (
+        f'{{"p": {p}, "trib_residue": {residue}, '
+        f'"divisible": {"true" if div else "false"}, '
+        f'"representable": {"true" if rep else "false"}, '
+        f'"rep_x": {"null" if x is None else x}, "rep_y": {"null" if y is None else y}, '
+        f'"splitting": "{shape.value}", "frobenius": "{cls.value}", '
+        f'"consistent": {"true" if cons else "false"}, '
+        f'"exceptional": {"true" if exc else "false"}}}'
     )
 
 

@@ -99,15 +99,42 @@ class SplittingType:
         return self.shape.frobenius_class
 
 
+def _small_powers(count):
+    # x^k in Z[x]/(f) for 0 <= k < count, each the previous one times x
+    powers = [(1, 0, 0)]
+    for _ in range(count - 1):
+        r0, r1, r2 = powers[-1]
+        powers.append((r2, r0 + r2, r1 + r2))
+    return tuple(powers)
+
+
+#: bits of n that `_xpow` reads from `_X_POWERS` instead of the ladder
+_TABLE_BITS = 10
+
+#: x^k in Z[x]/(f), exact, for k < 2**_TABLE_BITS
+_X_POWERS = _small_powers(1 << _TABLE_BITS)
+
+
 def _xpow(n, m, a=0):
     # (x + a)^n in Z_m[x]/(f) for n >= 0 and 0 <= a < m; f is monic, so any
     # m >= 2 works.  Left to right over the bits of n: square r with 6
     # products, folding x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1, then on a 1
     # bit multiply by x + a.  For a = 0 that is the shift
     # r*x = (r2, r0 + r2, r1 + r2), left unreduced: the next square or the
-    # final % brings it back below m.
-    r0, r1, r2 = 1, 0, 0
-    for bit in bin(n)[2:]:
+    # final % brings it back below m.  Also for a = 0, the power of x for the
+    # top _TABLE_BITS bits of n comes reduced from the table, and the ladder
+    # walks only the bits below them.
+    bits = bin(n)[2:]
+    if a:
+        r0, r1, r2 = 1, 0, 0
+    else:
+        low = bits[_TABLE_BITS:]
+        r0, r1, r2 = _X_POWERS[n >> len(low)]
+        r0, r1, r2 = r0 % m, r1 % m, r2 % m
+        if not low:
+            return r0, r1, r2
+        bits = low
+    for bit in bits:
         t = r1 * r2
         v = t + r2 * r2
         r0, r1, r2 = (

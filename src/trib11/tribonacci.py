@@ -42,11 +42,12 @@ def trib_exact(n: int) -> int:
         raise IndexOutOfRange(
             f"exact evaluation capped at index {EXACT_INDEX_LIMIT}, got {n}"
         )
-    # The ladder only adds and multiplies non-negative values (f's reduction
-    # is x^3 = x^2 + x + 1), so every value it forms for x^(n+1) is an exact
-    # coefficient of some x^k with k <= n + 1: T_{k-2}, T_{k-2} + T_{k-3} or
-    # T_{k-1}.  Since T_k < 2^k, each is below 2^(n+2), so no reduction mod
-    # 2^(n+2) ever changes a value.
+    # The ladder, and the table of small powers it starts from, only add and
+    # multiply non-negative values (f's reduction is x^3 = x^2 + x + 1), so
+    # every value it forms for x^(n+1) is an exact coefficient of some x^k
+    # with k <= n + 1: T_{k-2}, T_{k-2} + T_{k-3} or T_{k-1}.  Since
+    # T_k < 2^k, each is below 2^(n+2), so no reduction mod 2^(n+2) ever
+    # changes a value.
     return _xpow(n + 1, 1 << (n + 2))[2]
 
 

@@ -3,10 +3,14 @@
 Run with `pytest tests/test_acceptance.py -v -s`.  The million-range scans
 are session fixtures shared by the criteria that need them; everything is
 checked at exact tolerance except the class-density sanity check, which
-is statistical by nature.
+is statistical by nature.  A last test holds the scan's stdout to the
+SHA-256s the benchmark pins in `bench/pinned.json`.
 """
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,11 +25,13 @@ from trib11.tribonacci import (
     trib_mod,
     trib_via_roots,
 )
-from trib11.verifier import obstruction_check, scan
+from trib11.verifier import ScanReport, obstruction_check, scan, verdicts
 
 from oracles import sieve_list, trial_isprime, trib_list_exact
 
 MILLION = 10**6
+
+PINNED = Path(__file__).resolve().parents[1] / "bench" / "pinned.json"
 
 
 def _pass(num: int, message: str) -> None:
@@ -136,7 +142,7 @@ def test_criterion_08_modular_arithmetic_suite():
         for n in range(10**4 + 1):
             assert trib_mod(n, m) == reduced[n], (n, m)
     _pass(8, "is_prime = trial division below 10^6; sqrt_mod round-trips; "
-             "trib_mod = trib_exact mod m for n <= 10^4 over 100 moduli")
+             "trib_mod = T_n mod m by iteration for n <= 10^4 over 100 moduli")
 
 
 def test_criterion_09_class_densities(million_scan):
@@ -163,3 +169,21 @@ def test_criterion_10_scan_determinism(million_scan, million_scan_w8):
         assert solo.encode() == multi.encode()
     assert summary_line(million_scan) == summary_line(million_scan_w8)
     _pass(10, "scan output with 8 workers is byte-identical to 1 worker on [2, 1000000)")
+
+
+def _stdout_sha256(records, report: ScanReport, fmt: str) -> str:
+    # the bytes `trib11 scan --format FMT` writes: every record line, then the summary
+    lines = [*record_lines(records, fmt), summary_line(report)]
+    return hashlib.sha256("".join(f"{line}\n" for line in lines).encode()).hexdigest()
+
+
+def test_scan_stdout_matches_the_benchmark_pins(million_scan):
+    pins = json.loads(PINNED.read_text())
+    dense = pins["dense_1e6"]
+    assert (dense["from"], dense["to"], dense["format"]) == (2, MILLION, "csv")
+    assert _stdout_sha256(million_scan.records, million_scan, "csv") == dense["sha256"]
+    window = pins["window_1e9_w2"]
+    assert window["format"] == "jsonl"
+    report = ScanReport(window["from"], window["to"])
+    records = report.tally(verdicts(window["from"], window["to"], workers=2))
+    assert _stdout_sha256(records, report, "jsonl") == window["sha256"]

@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 import trib11
-from trib11.cli import CSV_COLUMNS, main, record_lines, summary_line
+from trib11.cli import CSV_COLUMNS, _jsonl_obj, _row, main, record_lines, summary_line
 from trib11.modmath import MAX_MODULUS, is_prime
-from trib11.verifier import scan
+from trib11.verifier import scan, verdict
 
 from oracles import sieve_list, trib_list_exact
 
@@ -166,6 +166,47 @@ def test_scan_jsonl(capsys):
     assert rec11["exceptional"] is True and rec11["rep_x"] == 0
     rec3 = next(o for o in objs if o["p"] == 3)
     assert rec3["rep_x"] is None
+
+
+def _cell(value):
+    # the reference formula for one CSV or table cell
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def test_rows_render_as_the_reference_formulas():
+    # None coordinates, both exceptions, the ramified shapes and 19-digit integers
+    records = [verdict(p) for p in (2, 3, 11, 19, 47, 53, 2**63 - 25)] + scan(2, 5000).records
+    for rec in records:
+        assert _row(rec) == (
+            _cell(rec.p),
+            _cell(rec.trib_residue),
+            _cell(rec.divisible),
+            _cell(rec.representable),
+            _cell(rec.rep_x),
+            _cell(rec.rep_y),
+            rec.splitting.value,
+            rec.frobenius.value,
+            _cell(rec.consistent),
+            _cell(rec.exceptional),
+        ), rec
+        assert _jsonl_obj(rec) == json.dumps(
+            {
+                "p": rec.p,
+                "trib_residue": rec.trib_residue,
+                "divisible": rec.divisible,
+                "representable": rec.representable,
+                "rep_x": rec.rep_x,
+                "rep_y": rec.rep_y,
+                "splitting": rec.splitting.value,
+                "frobenius": rec.frobenius.value,
+                "consistent": rec.consistent,
+                "exceptional": rec.exceptional,
+            }
+        ), rec
 
 
 def test_scan_table(capsys):
@@ -320,6 +361,18 @@ def run_capped(*args, lines=None):
             _kill_group(proc)
             err = proc.communicate()[1]
     return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+
+
+def test_one_worker_scan_loads_no_multiprocessing():
+    code = (
+        "import sys\n"
+        "from trib11.cli import main\n"
+        "assert main(['scan', '--to', '1000', '--format', 'csv']) == 0\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+    )
+    proc = run_capped("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("violations: [11, 19]\n")
 
 
 def test_scan_top_of_domain_in_bounded_memory():

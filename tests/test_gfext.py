@@ -84,6 +84,19 @@ def test_poly_pow_matches_repeated_multiplication():
             acc = acc * base
 
 
+def test_xpow_table_start_matches_quotient_ring_powers():
+    # x^n takes its top 10 bits from the table of small powers: n < 2^10 runs
+    # no ladder step, n >= 2^10 squares over the bits below them
+    for m in (2, 3, 19, 2**64 - 59):
+        x = _cubic_ring(m).gen()
+        acc = x ** 0
+        for n in range(2**11 + 65):
+            assert _xpow(n, m) == acc.coeffs, (n, m)
+            acc = acc * x
+        for n in (2**20 - 1, 2**20, 2**20 + 1, 2**80 - 1):
+            assert _xpow(n, m) == (x ** n).coeffs, (n, m)
+
+
 def test_poly_pow_frobenius_moves_root_mod_3():
     # f has no roots mod 3, so x -> x^3 cannot fix x
     assert naive_roots(3) == []

@@ -44,9 +44,10 @@ def _next_prime(n: int) -> int:
 primes = st.integers(3, 2**63 - 25).map(_next_prime)
 
 
-# moduli of every size, most of them composite, each with a shift a in [0, m)
+# moduli of every size, most of them composite, each with a shift a in [0, m),
+# often a = 0, the path that starts from the table of small powers
 moduli_and_shifts = st.one_of(st.integers(2, 100), st.integers(2, 2**64 - 1)).flatmap(
-    lambda m: st.tuples(st.just(m), st.integers(0, m - 1))
+    lambda m: st.tuples(st.just(m), st.one_of(st.just(0), st.integers(0, m - 1)))
 )
 
 

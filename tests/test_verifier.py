@@ -159,7 +159,7 @@ def serial_pools(monkeypatch):
             self.peak = max(self.peak, self.in_flight)
             return _Deferred(self, fn, arg)
 
-    monkeypatch.setattr(verifier, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(verifier.futures, "ProcessPoolExecutor", SerialPool)
     return pools
 
 
