@@ -118,11 +118,16 @@ def sqrt_mod(a: int, p: int) -> int | None:
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Deterministic Miller-Rabin witness tiers: each base set is proven exact
-# below its bound, the last one beyond 2**64 (Jaeschke; Sorenson-Webster).
+# below its bound.  The first two are from Pomerance, Selfridge and Wagstaff
+# (1980); the last is Sinclair's 7-base set (2011), exact below 2**64 as
+# checked against the Feitsma-Galway list of base-2 strong pseudoprimes (see
+# also Sorenson and Webster, arXiv:1509.00864).  Every n that reaches a tier
+# exceeds each of its bases, so no base needs reducing mod n; a tier with a
+# base of n or more would have to reduce it and skip a base that is 0 mod n.
 _MR_TIERS = (
     (1_373_653, (2, 3)),
     (3_215_031_751, (2, 3, 5, 7)),
-    (1 << 64, _SMALL_PRIMES),
+    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
 )
 
 
@@ -158,41 +163,54 @@ def is_prime(n: int) -> bool:
 
 _SEGMENT = 1 << 16
 
-# base primes are sieved up to this bound, so a survivor below _BASE**2 = 2**40
-# is prime and one above it is finished with `is_prime`
-_BASE = 1 << 20
+# A range ending at or below 2**40 is sieved by every prime up to its square
+# root, at most the 82,025 below 2**20, and each survivor is prime: there
+# that walk costs no more than the 7 witnesses each prime would need in
+# `is_prime`, and far less lower down (at 10**10, a fifth).  Above 2**40 the
+# walk would pass 2**20 while the survivors go to `is_prime` anyway, and
+# base primes past 2**16 cost each segment more than the one witness that
+# rejects each composite they would strike out; so such a range is sieved
+# by the 6,542 primes below _BASE = 2**16 and `is_prime` finishes every
+# survivor.
+_SIEVED = 1 << 40
+_BASE = 1 << 16
 
 
 def primes_in_range(lo: int, hi: int) -> Iterator[int]:
     """Yield every prime in [lo, hi) exactly once, ascending.
 
-    Segmented sieve by the primes up to min(sqrt(hi), 2**20): memory stays
-    O(2**20 + segment) no matter how wide or how high the range is, so
-    disjoint ranges can be sieved independently.  Survivors at or above
-    2**40 may be composite and are confirmed with `is_prime`.
+    Segmented sieve: memory stays O(2**20 + segment) no matter how wide or
+    how high the range is, so disjoint ranges can be sieved independently.
+    Up to hi = 2**40 the base primes are all those up to sqrt(hi), so every
+    survivor is prime.  Above, the base primes stop at 2**16 and each
+    survivor is confirmed with `is_prime`, whose Miller-Rabin bases are
+    exact below 2**64 (Pomerance-Selfridge-Wagstaff 1980 below
+    3,215,031,751; Sinclair 2011, checked against the Feitsma-Galway list of
+    base-2 strong pseudoprimes, above it).
     """
     if not 0 <= lo <= hi <= MAX_MODULUS:
         raise ValueError(f"bad range [{lo}, {hi})")
     lo = max(lo, 2)
     if lo >= hi:
         return
-    base = _prime_flags(min(isqrt(hi - 1), _BASE))
+    sieved = hi <= _SIEVED
+    top = isqrt(hi - 1) if sieved else _BASE
+    base = _prime_flags(top)
     for seg_lo in range(lo, hi, _SEGMENT):
         seg_hi = min(seg_lo + _SEGMENT, hi)
         seg = bytearray(b"\x01") * (seg_hi - seg_lo)
-        for q in compress(range(min(isqrt(seg_hi - 1), _BASE) + 1), base):
+        for q in compress(range(min(isqrt(seg_hi - 1), top) + 1), base):
             start = max(q * q, -(-seg_lo // q) * q)
             if start < seg_hi:
                 seg[start - seg_lo :: q] = b"\x00" * ((seg_hi - 1 - start) // q + 1)
-        for n in compress(range(seg_lo, seg_hi), seg):
-            if n < _BASE * _BASE or is_prime(n):
-                yield n
+        survivors = compress(range(seg_lo, seg_hi), seg)
+        yield from survivors if sieved else filter(is_prime, survivors)
 
 
 def _prime_flags(n: int) -> bytearray:
     # plain sieve, inclusive: flag i is 1 iff i is prime.  Only used for the
-    # base primes up to 2**20; flags rather than a list of ints keep it at
-    # about 1 MB.
+    # base primes, so n <= 2**20; flags rather than a list of ints keep it at
+    # 1 MB at most, and 64 KB for a range above 2**40.
     if n < 2:
         return bytearray(n + 1)
     s = bytearray(b"\x01") * (n + 1)

@@ -154,10 +154,19 @@ def _map_chunks(chunk_fn, lo: int, hi: int, workers: int) -> Iterator:
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
     starts = range(lo, hi, _CHUNK)
-    workers = min(workers, len(starts), os.cpu_count() or 1)
+    workers = min(workers, len(starts), _usable_cpus())
     bounds = ((c, min(c + _CHUNK, hi)) for c in starts)
     parts = map(chunk_fn, bounds) if workers <= 1 else _pooled(chunk_fn, bounds, workers)
     return _flatten(parts, len(starts))
+
+
+def _usable_cpus() -> int:
+    # the CPUs this process may run on (a taskset or cpuset mask counts), where the
+    # OS can say; else every CPU, or one when even that is unknown
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _pooled(chunk_fn, bounds: Iterator[tuple[int, int]], workers: int) -> Iterator[list]:

@@ -4,6 +4,7 @@ Everything here is deliberately naive: trial division, exhaustive root
 enumeration, full scans.  None of it shares code with the package.
 """
 
+from itertools import takewhile
 from math import isqrt
 
 
@@ -30,6 +31,15 @@ def sieve_list(n: int) -> list[int]:
         if s[i]:
             s[i * i :: i] = b"\x00" * len(range(i * i, n, i))
     return [i for i, f in enumerate(s) if f]
+
+
+def trial_primes(lo: int, hi: int) -> list[int]:
+    """All primes in [lo, hi) by trial division with the primes up to sqrt(hi)."""
+    divisors = sieve_list(isqrt(max(hi - 1, 0)) + 1)
+    return [
+        n for n in range(max(lo, 2), hi)
+        if all(n % q for q in takewhile(lambda q: q * q <= n, divisors))
+    ]
 
 
 def f_eval(r: int, p: int) -> int:

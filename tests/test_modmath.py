@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from trib11 import modmath
 from trib11.modmath import (
+    _MR_TIERS,
     MAX_MODULUS,
     InvalidModulus,
     ModPrime,
@@ -168,6 +170,32 @@ def test_is_prime_strong_pseudoprimes():
     assert not is_prime(2**64 - 1)
 
 
+def test_is_prime_rejects_chernick_carmichael_numbers():
+    # (6k+1)(12k+1)(18k+1) with three prime factors is a Carmichael number: every
+    # base prime to it is a Fermat liar, and only the square roots of 1 expose it
+    k_max = round((2**64 / 1296) ** (1 / 3)) + 1
+    prime = set(sieve_list(18 * k_max + 2))
+    chernick = [
+        (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+        for k in range(1, k_max + 1)
+        if {6 * k + 1, 12 * k + 1, 18 * k + 1} <= prime
+    ]
+    chernick = [n for n in chernick if n < 2**64]
+    assert chernick[:3] == [1729, 294409, 56052361] and max(chernick) > 2**63
+    assert [n for n in chernick if is_prime(n)] == []
+
+
+def test_witness_tiers_never_meet_a_base_divisible_by_n():
+    # n reaches the witnesses only past trial division by the primes to 37, so
+    # n >= 41**2; each tier sees only n at or above the bound before it, and a
+    # base below every such n needs no reducing and is never 0 mod n
+    least_n = 41 * 41
+    for bound, witnesses in _MR_TIERS:
+        assert max(witnesses) < least_n < bound
+        least_n = bound
+    assert least_n == 2**64
+
+
 def test_is_prime_rejects_oversized():
     with pytest.raises(ValueError):
         is_prime(2**64)
@@ -201,6 +229,17 @@ def test_primes_in_range_offset_start():
 def test_primes_in_range_matches_is_prime_filter():
     for lo, hi in ((0, 30000), (10**6 - 2000, 10**6)):
         assert list(primes_in_range(lo, hi)) == [n for n in range(lo, hi) if is_prime(n)]
+
+
+@pytest.mark.parametrize("lo, count", [(10**9, 4832), (10**12, 3614)])
+def test_primes_below_2_40_are_certified_by_the_sieve(lo, count, monkeypatch):
+    # below 2**40 the sieve walks every prime up to sqrt(hi) and never asks
+    # is_prime, which would cost 7 witnesses a prime
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(modmath, "is_prime", refuse)
+    assert sum(1 for _ in primes_in_range(lo, lo + 10**5)) == count
 
 
 def test_primes_in_range_validates():

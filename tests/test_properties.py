@@ -2,10 +2,12 @@
 
 The power ladder against `QuotientRing`, `trib_mod` against iteration,
 the fused classifier against the other two and its p mod 11 rule against
-the Legendre symbol, the prime source against `is_prime`, Cornacchia
+the Legendre symbol, the prime source against trial division and
+`is_prime`, `is_prime` above 2**32 against sympy's BPSW test, Cornacchia
 against the splitting shape, and `sqrt_mod` near the top of the domain.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from trib11.gfext import (
@@ -22,7 +24,7 @@ from trib11.modmath import MAX_MODULUS, ModPrime, is_prime, jacobi, primes_in_ra
 from trib11.quadform import represent
 from trib11.tribonacci import trib_mod
 
-from oracles import trib_list_mod
+from oracles import trial_primes, trib_list_mod
 
 # fixed examples, so that every run of the suite checks the same inputs
 reproducible = settings(deadline=None, derandomize=True)
@@ -90,10 +92,12 @@ def test_fused_classifier_matches_gcd_and_orbit(p):
 
 _WIDTH = 2000
 
-# windows anywhere in the domain, across 2**40 (where sieve survivors stop
-# being certainly prime), and ending at MAX_MODULUS
+# windows anywhere in the domain, across 2**32 (the square of the base primes
+# kept above 2**40), across 2**40 (where sieve survivors stop being certainly
+# prime), and ending at MAX_MODULUS
 window_starts = st.one_of(
     st.integers(2, MAX_MODULUS - _WIDTH),
+    st.integers(2**32 - _WIDTH, 2**32),
     st.integers(2**40 - _WIDTH, 2**40),
     st.integers(0, _WIDTH).map(lambda k: MAX_MODULUS - _WIDTH - k),
 )
@@ -102,8 +106,37 @@ window_starts = st.one_of(
 @settings(reproducible, max_examples=30)
 @given(lo=window_starts)
 def test_primes_in_range_matches_is_prime(lo):
+    # judged by trial division up to 2**33, where it stays cheap, else by is_prime
     hi = min(lo + _WIDTH, MAX_MODULUS)
-    assert list(primes_in_range(lo, hi)) == [n for n in range(lo, hi) if is_prime(n)]
+    if hi <= 2**33:
+        expected = trial_primes(lo, hi)
+    else:
+        expected = [n for n in range(lo, hi) if is_prime(n)]
+    assert list(primes_in_range(lo, hi)) == expected
+
+
+def _semiprime(p: int) -> int:
+    # q(2q - 1) for the first q >= p with both factors prime: the form of the
+    # strong pseudoprime 1,373,653 = 829 * 1657 that fools the bases 2 and 3
+    q = _next_prime(p)
+    while not is_prime(2 * q - 1):
+        q = _next_prime(q + 1)
+    return q * (2 * q - 1)
+
+
+# [2**32, 2**64), where is_prime's last witness tier runs, half the draws semiprimes
+above_2_32 = st.one_of(
+    st.integers(2**32, 2**64 - 1),
+    st.integers(46_341, 3_037_000_499).map(_semiprime),
+).filter(lambda n: 2**32 <= n < 2**64)
+
+
+@reproducible
+@given(n=above_2_32)
+def test_is_prime_matches_bpsw_above_2_32(n):
+    # sympy.isprime is no judge here: below 2**64 it runs the same 7 bases
+    bpsw = pytest.importorskip("sympy.ntheory.primetest").is_strong_bpsw_prp
+    assert is_prime(n) == bpsw(n)
 
 
 @reproducible

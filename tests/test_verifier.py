@@ -163,23 +163,35 @@ def serial_pools(monkeypatch):
     return pools
 
 
+def _allow_cpus(monkeypatch, n: int) -> None:
+    # n CPUs in this process's affinity mask, on a machine with more
+    monkeypatch.setattr(verifier.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: n + 4)
+
+
 def test_scan_worker_count_is_clamped(serial_pools, monkeypatch):
     monkeypatch.setattr(verifier, "_CHUNK", 100)
-    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 4)
+    _allow_cpus(monkeypatch, 4)
     serial = scan(2, 1000).records
     assert serial_pools == []
     assert scan(2, 1000, workers=100_000).records == serial  # 10 chunks, 4 CPUs
     assert scan(2, 250, workers=100_000).records == serial[:53]  # 3 chunks
     assert scan(2, 1000, workers=2).records == serial
     assert [pool.max_workers for pool in serial_pools] == [4, 3, 2]
+    _allow_cpus(monkeypatch, 1)  # pinned to one CPU of many: one worker
+    assert scan(2, 1000, workers=2).records == serial
+    assert len(serial_pools) == 3
+    monkeypatch.delattr(verifier.os, "sched_getaffinity", raising=False)  # no affinity API
+    assert scan(2, 1000, workers=100_000).records == serial
+    assert [pool.max_workers for pool in serial_pools] == [4, 3, 2, 5]
     monkeypatch.setattr(verifier.os, "cpu_count", lambda: None)  # unknown: one worker
     assert scan(2, 1000, workers=100_000).records == serial
-    assert len(serial_pools) == 3
+    assert len(serial_pools) == 4
 
 
 def test_parallel_scan_keeps_few_chunks_in_flight(serial_pools, monkeypatch):
     monkeypatch.setattr(verifier, "_CHUNK", 100)
-    monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+    _allow_cpus(monkeypatch, 2)
     ahead = verifier._IN_FLIGHT * 2
     assert scan(2, 10_000, workers=2).records == scan(2, 10_000).records
     assert (serial_pools[0].submitted, serial_pools[0].peak) == (100, ahead)
