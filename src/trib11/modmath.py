@@ -164,14 +164,11 @@ def is_prime(n: int) -> bool:
 _SEGMENT = 1 << 16
 
 # A range ending at or below 2**40 is sieved by every prime up to its square
-# root, at most the 82,025 below 2**20, and each survivor is prime: there
-# that walk costs no more than the 7 witnesses each prime would need in
-# `is_prime`, and far less lower down (at 10**10, a fifth).  Above 2**40 the
-# walk would pass 2**20 while the survivors go to `is_prime` anyway, and
-# base primes past 2**16 cost each segment more than the one witness that
-# rejects each composite they would strike out; so such a range is sieved
-# by the 6,542 primes below _BASE = 2**16 and `is_prime` finishes every
-# survivor.
+# root (at most the 82,025 below 2**20), so each survivor is prime; there
+# that walk costs no more than the 7 witnesses `is_prime` would spend on each
+# prime, and at 10**10 a fifth of them.  Above 2**40 every survivor goes to
+# `is_prime`, and base primes past _BASE = 2**16 would cost a segment more
+# than the one witness that rejects each composite they strike out.
 _SIEVED = 1 << 40
 _BASE = 1 << 16
 
