@@ -53,6 +53,17 @@ def _row(rec: VerdictRecord) -> tuple[str, ...]:
     )
 
 
+def _csv_line(rec: VerdictRecord) -> str:
+    # ",".join(_row(rec)) as one f-string; like _jsonl_obj, it reads an enum's
+    # _value_ directly rather than through the slower `value` property
+    p, residue, div, rep, x, y, shape, cls, cons, exc = rec
+    return (
+        f'{p},{residue},{"true" if div else "false"},{"true" if rep else "false"},'
+        f'{"" if x is None else x},{"" if y is None else y},{shape._value_},{cls._value_},'
+        f'{"true" if cons else "false"},{"true" if exc else "false"}'
+    )
+
+
 def _jsonl_obj(rec: VerdictRecord) -> str:
     # the JSON object json.dumps writes for these keys, in this order
     p, residue, div, rep, x, y, shape, cls, cons, exc = rec
@@ -61,7 +72,7 @@ def _jsonl_obj(rec: VerdictRecord) -> str:
         f'"divisible": {"true" if div else "false"}, '
         f'"representable": {"true" if rep else "false"}, '
         f'"rep_x": {"null" if x is None else x}, "rep_y": {"null" if y is None else y}, '
-        f'"splitting": "{shape.value}", "frobenius": "{cls.value}", '
+        f'"splitting": "{shape._value_}", "frobenius": "{cls._value_}", '
         f'"consistent": {"true" if cons else "false"}, '
         f'"exceptional": {"true" if exc else "false"}}}'
     )
@@ -71,11 +82,9 @@ def record_lines(records: Iterable[VerdictRecord], fmt: str) -> Iterable[str]:
     """Render records in the given format, one line at a time (no newlines)."""
     if fmt == "csv":
         yield ",".join(CSV_COLUMNS)
-        for rec in records:
-            yield ",".join(_row(rec))
+        yield from map(_csv_line, records)
     elif fmt == "jsonl":
-        for rec in records:
-            yield _jsonl_obj(rec)
+        yield from map(_jsonl_obj, records)
     elif fmt == "table":
         yield "  ".join(c.ljust(w) for c, w in zip(CSV_COLUMNS, _TABLE_WIDTHS)).rstrip()
         for rec in records:

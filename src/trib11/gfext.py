@@ -46,6 +46,10 @@ class ModulusMismatch(ValueError):
 class Shape(enum.Enum):
     """Factorization shape of f modulo a prime."""
 
+    # members are singletons compared by identity, so hash them by identity
+    # too: dict lookups keyed by a member then run no Python code
+    __hash__ = object.__hash__
+
     THREE_DISTINCT_ROOTS = "ThreeDistinctRoots"
     ONE_ROOT_PLUS_IRREDUCIBLE_QUADRATIC = "OneRootPlusIrreducibleQuadratic"
     IRREDUCIBLE = "Irreducible"
@@ -60,6 +64,8 @@ class Shape(enum.Enum):
 
 class FrobeniusClass(enum.Enum):
     """Conjugacy class in S3 of the Frobenius automorphism (or Ramified)."""
+
+    __hash__ = object.__hash__  # as for Shape
 
     IDENTITY = "Identity"
     TRANSPOSITION = "Transposition"
@@ -160,13 +166,17 @@ def frobenius_power(p: PrimeLike) -> tuple[tuple[int, int, int], Shape]:
     read off p mod 11: Q(sqrt(-11)) is the quadratic subfield of the
     splitting field.  The ramified primes 2 and 11 keep their fixed shapes.
     """
-    pv = require_prime(p)
-    xp = _xpow(pv, pv)
-    if pv in _RAMIFIED_SHAPE:
-        shape = _RAMIFIED_SHAPE[pv]
+    return _frobenius_power(require_prime(p))
+
+
+def _frobenius_power(p: int) -> tuple[tuple[int, int, int], Shape]:
+    # frobenius_power for a p already known to be prime
+    xp = _xpow(p, p)
+    if p in _RAMIFIED_SHAPE:
+        shape = _RAMIFIED_SHAPE[p]
     elif xp == _X:
         shape = Shape.THREE_DISTINCT_ROOTS
-    elif pv % 11 in _SQUARES_MOD_11:
+    elif p % 11 in _SQUARES_MOD_11:
         shape = Shape.IRREDUCIBLE
     else:
         shape = Shape.ONE_ROOT_PLUS_IRREDUCIBLE_QUADRATIC
@@ -374,10 +384,6 @@ class RingElement:
         return RingElement(
             self.ring, tuple((x - y) % p for x, y in zip(self.coeffs, other.coeffs))
         )
-
-    def __neg__(self) -> "RingElement":
-        p = self.ring.p
-        return RingElement(self.ring, tuple(-x % p for x in self.coeffs))
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._check(other)

@@ -38,17 +38,21 @@ def represent(p: PrimeLike) -> Representation:
     until the remainder drops to sqrt(p) or below, and test the candidate.
     It runs at every odd prime; 2 is not of the form.
     """
-    pv = require_prime(p)
-    if pv == 2:  # sqrt_mod needs an odd prime
+    return _cornacchia(require_prime(p))
+
+
+def _cornacchia(p: int) -> Representation:
+    # represent for a p already known to be prime
+    if p == 2:  # sqrt_mod needs an odd prime
         return _NONE
-    b = sqrt_mod(-FORM_D % pv, pv)
+    b = sqrt_mod(-FORM_D % p, p)
     if b is None:  # -11 is not a square mod p
         return _NONE
-    prev = pv
-    limit = isqrt(pv)
+    prev = p
+    limit = isqrt(p)
     while b > limit:
         prev, b = b, prev % b
-    rest = pv - b * b
+    rest = p - b * b
     y_sq, r = divmod(rest, FORM_D)
     if r:
         return _NONE

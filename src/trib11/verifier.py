@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
-from .gfext import FrobeniusClass, Shape, frobenius_power, splitting_type
+from .gfext import FrobeniusClass, Shape, _frobenius_power, splitting_type
 from .modmath import MAX_MODULUS, ModPrime, PrimeLike, primes_in_range, require_prime
-from .quadform import represent
+from .quadform import _cornacchia
 from .tribonacci import trib_mod
 
 logger = logging.getLogger(__name__)
@@ -117,11 +117,11 @@ def verdict(p: PrimeLike) -> VerdictRecord:
 
 
 def _verdict(pv: int) -> VerdictRecord:
-    mp = ModPrime(pv)
-    xp, shape = frobenius_power(mp)
+    # pv is known to be prime (checked by verdict, or straight from the sieve)
+    xp, shape = _frobenius_power(pv)
     residue = xp[2]  # the x^2 coefficient of x^p is T_{p-1} mod p
     divisible = residue == 0
-    x, y = represent(mp)
+    x, y = _cornacchia(pv)
     representable = x is not None
     consistent = divisible == representable
     return VerdictRecord(pv, residue, divisible, representable, x, y,

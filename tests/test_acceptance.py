@@ -187,3 +187,10 @@ def test_scan_stdout_matches_the_benchmark_pins(million_scan):
     report = ScanReport(window["from"], window["to"])
     records = report.tally(verdicts(window["from"], window["to"], workers=2))
     assert _stdout_sha256(records, report, "jsonl") == window["sha256"]
+    # the only pin above 2**40, where is_prime finishes the sieve's survivors and
+    # Cornacchia runs on 54-bit primes
+    high = pins["window_1e16"]
+    assert high["format"] == "csv"
+    report = ScanReport(high["from"], high["to"])
+    records = report.tally(verdicts(high["from"], high["to"]))
+    assert _stdout_sha256(records, report, "csv") == high["sha256"]

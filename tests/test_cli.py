@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import trib11
-from trib11.cli import _jsonl_obj, _row, main, record_lines, summary_line
+from trib11.cli import _csv_line, _jsonl_obj, _row, main, record_lines, summary_line
 from trib11.modmath import MAX_MODULUS, is_prime
 from trib11.verifier import scan, verdict
 
@@ -196,6 +196,7 @@ def test_rows_render_as_the_reference_formulas():
             _cell(rec.consistent),
             _cell(rec.exceptional),
         ), rec
+        assert _csv_line(rec) == ",".join(_row(rec)), rec
         assert _jsonl_obj(rec) == json.dumps(
             {
                 "p": rec.p,
