@@ -37,31 +37,20 @@ _TABLE_WIDTHS = (9, 10, 9, 13, 6, 6, 31, 13, 10, 11)
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 
 
-def _row(rec: VerdictRecord) -> tuple[str, ...]:
-    p, residue, div, rep, x, y, shape, cls, cons, exc = rec
-    return (
-        str(p),
-        str(residue),
-        "true" if div else "false",
-        "true" if rep else "false",
-        "" if x is None else str(x),
-        "" if y is None else str(y),
-        shape.value,
-        cls.value,
-        "true" if cons else "false",
-        "true" if exc else "false",
-    )
-
-
 def _csv_line(rec: VerdictRecord) -> str:
-    # ",".join(_row(rec)) as one f-string; like _jsonl_obj, it reads an enum's
-    # _value_ directly rather than through the slower `value` property
+    # the one cell formatter; like _jsonl_obj, it reads an enum's _value_
+    # directly rather than through the slower `value` property
     p, residue, div, rep, x, y, shape, cls, cons, exc = rec
     return (
         f'{p},{residue},{"true" if div else "false"},{"true" if rep else "false"},'
         f'{"" if x is None else x},{"" if y is None else y},{shape._value_},{cls._value_},'
         f'{"true" if cons else "false"},{"true" if exc else "false"}'
     )
+
+
+def _row(rec: VerdictRecord) -> tuple[str, ...]:
+    # the CSV cells; none can hold a comma (ints, true/false, empty, enum names)
+    return tuple(_csv_line(rec).split(","))
 
 
 def _jsonl_obj(rec: VerdictRecord) -> str:

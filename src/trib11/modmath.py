@@ -81,24 +81,18 @@ def sqrt_mod(a: int, p: int) -> int | None:
     """Square root of a modulo an odd prime p, or None if a is a non-residue.
 
     Returns the smaller of the two roots so results are reproducible.
-    One power for p = 3 mod 4 (a^((p+1)/4)) and for p = 5 mod 8 (Atkin),
-    whose result squares back to a exactly when a is a residue; Tonelli-Shanks
-    after a Jacobi test for p = 1 mod 8.
+    Tonelli-Shanks in the general case, with the exponent shortcut for
+    p = 3 mod 4.
     """
     if p < 3 or p % 2 == 0:
         raise InvalidModulus(f"sqrt_mod needs an odd prime modulus, got {p}")
     a %= p
     if a == 0:
         return 0
+    if jacobi(a, p) == -1:
+        return None
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
-    elif p % 8 == 5:
-        # Atkin: with v = (2a)^((p-5)/8), i = 2a*v^2 is a square root of -1
-        # and (a*v*(i - 1))^2 = a
-        v = pow(2 * a, (p - 5) // 8, p)
-        r = a * v * (2 * a * v * v - 1) % p
-    elif jacobi(a, p) == -1:
-        return None
     else:
         q, s = p - 1, 0
         while q % 2 == 0:
@@ -118,8 +112,6 @@ def sqrt_mod(a: int, p: int) -> int | None:
             m, c = i, b * b % p
             r = r * b % p
             t = t * c % p
-    if r * r % p != a:  # a is a non-residue
-        return None
     return min(r, p - r)
 
 

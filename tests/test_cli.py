@@ -184,7 +184,7 @@ def test_rows_render_as_the_reference_formulas():
     # None coordinates, both exceptions, the ramified shapes and 19-digit integers
     records = [verdict(p) for p in (2, 3, 11, 19, 47, 53, 2**63 - 25)] + scan(2, 5000).records
     for rec in records:
-        assert _row(rec) == (
+        cells = (
             _cell(rec.p),
             _cell(rec.trib_residue),
             _cell(rec.divisible),
@@ -195,8 +195,9 @@ def test_rows_render_as_the_reference_formulas():
             rec.frobenius.value,
             _cell(rec.consistent),
             _cell(rec.exceptional),
-        ), rec
-        assert _csv_line(rec) == ",".join(_row(rec)), rec
+        )
+        assert _csv_line(rec) == ",".join(cells), rec
+        assert _row(rec) == cells, rec
         assert _jsonl_obj(rec) == json.dumps(
             {
                 "p": rec.p,
