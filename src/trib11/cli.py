@@ -4,24 +4,26 @@ Subcommands: verdict, scan, represent, trib, splitting.  Exit codes are
 part of the contract: 0 for a consistent result, 2 when something
 mathematically noteworthy turned up (an exceptional prime, a failed
 range), 1 for usage or I/O errors.  Every argument the library refuses
-and every I/O error is one `error: ...` line on stderr; only click's own
-parse errors print a usage block.  A reader that closes stdout early
+and every I/O error is one `error: ...` line on stderr.  A parse error
+(no or an unknown command, a missing `--to`, a non-integer argument)
+prints argparse's usage block and its error line on stderr and exits 1,
+not argparse's 2.  A reader that closes stdout early
 (`trib11 scan ... | head`) stops the command silently, with exit 1, as
 its output was not all written.  Output for fixed arguments is
-byte-identical across runs and worker counts.
+byte-identical across runs and worker counts.  The parser is argparse,
+so the command needs nothing outside the standard library.
 
 Set TRIB_LOG to quiet, info or debug to control diagnostics on stderr.
 """
 
 from __future__ import annotations
 
+import argparse
 import logging
 import os
 import sys
 from contextlib import nullcontext
 from typing import Iterable
-
-import click
 
 from . import verifier
 from .quadform import represent as qf_represent
@@ -86,51 +88,28 @@ def summary_line(report: ScanReport) -> str:
     return f"violations: {report.violations}"
 
 
-@click.group()
-def cli() -> None:
-    """Check, prime by prime, whether p | T_{p-1} matches p = x^2 + 11y^2."""
-
-
-@cli.command("verdict")
-@click.argument("p", type=int)
 def cmd_verdict(p: int) -> int:
     """Full per-prime record for P; exit 2 if P is one of the exceptions."""
     rec = verifier.verdict(p)
     for name, value in zip(CSV_COLUMNS, _row(rec)):
-        click.echo(f"{name}: {value if value != '' else '-'}")
+        print(f"{name}: {value if value != '' else '-'}")
     return 2 if rec.exceptional else 0
 
 
-@cli.command("scan")
-@click.option("--from", "start", type=int, default=2, show_default=True, help="Range start.")
-@click.option("--to", "stop", type=int, required=True, help="Range end (exclusive).")
-@click.option("--workers", type=int, default=1, show_default=True, help="Parallel workers.")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["table", "csv", "jsonl"]),
-    default="table",
-    show_default=True,
-    help="Record output format.",
-)
-@click.option("--out", type=click.Path(dir_okay=False, writable=True), default=None,
-              help="Write records to this file instead of stdout.")
 def cmd_scan(start: int, stop: int, workers: int, fmt: str, out: str | None) -> int:
     """Scan all primes in [FROM, TO) and report equivalence violations."""
     report = ScanReport(start, stop)
     records = report.tally(verifier.verdicts(start, stop, workers))
     with open(out, "w", encoding="utf-8") if out is not None else nullcontext(sys.stdout) as fh:
         fh.writelines(f"{line}\n" for line in record_lines(records, fmt))
-    click.echo(summary_line(report))
+    print(summary_line(report))
     return 0 if report.status == "OK" else 2
 
 
-@cli.command("represent")
-@click.argument("p", type=int)
 def cmd_represent(p: int) -> int:
     """Print x y with P = x^2 + 11y^2, or "none"."""
     rep = qf_represent(p)
-    click.echo(f"{rep.x} {rep.y}" if rep.exists else "none")
+    print(f"{rep.x} {rep.y}" if rep.exists else "none")
     return 0
 
 
@@ -148,35 +127,67 @@ def _decimal(value: int) -> str:
         sys.set_int_max_str_digits(old)
 
 
-@cli.command("trib")
-@click.argument("n", type=int)
-@click.option("--mod", "m", type=int, default=None, help="Reduce modulo this value.")
 def cmd_trib(n: int, m: int | None) -> int:
     """Print T_N exactly, or T_N mod M with --mod."""
     if m is None:
         try:
             value = trib_exact(n)
         except IndexOutOfRange:
-            click.echo(
-                f"error: exact values stop at index {EXACT_INDEX_LIMIT}; pass --mod",
-                err=True,
-            )
+            print(f"error: exact values stop at index {EXACT_INDEX_LIMIT}; pass --mod",
+                  file=sys.stderr)
             return 1
-        click.echo(_decimal(value))
+        print(_decimal(value))
         return 0
-    click.echo(trib_mod(n, m))
+    print(trib_mod(n, m))
     return 0
 
 
-@cli.command("splitting")
-@click.argument("p", type=int)
 def cmd_splitting(p: int) -> int:
     """How x^3 - x^2 - x - 1 factors modulo the prime P."""
     st = splitting_type(p)
-    click.echo(f"shape: {st.shape.value}")
-    click.echo(f"roots: {' '.join(map(str, st.roots)) if st.roots else '-'}")
-    click.echo(f"frobenius: {st.frobenius_class.value}")
+    print(f"shape: {st.shape.value}")
+    print(f"roots: {' '.join(map(str, st.roots)) if st.roots else '-'}")
+    print(f"frobenius: {st.frobenius_class.value}")
     return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose only help flag is `--help`, on the top level and on every command."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="trib11",
+        description="Check, prime by prime, whether p | T_{p-1} matches p = x^2 + 11y^2.",
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, fn):
+        sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__)
+        sub.set_defaults(run=fn)
+        return sub
+
+    command("verdict", cmd_verdict).add_argument("p", type=int, metavar="P")
+    scan = command("scan", cmd_scan)
+    scan.add_argument("--from", dest="start", type=int, default=2, metavar="FROM",
+                      help="Range start (default: 2).")
+    scan.add_argument("--to", dest="stop", type=int, required=True, metavar="TO",
+                      help="Range end (exclusive).")
+    scan.add_argument("--workers", type=int, default=1, help="Parallel workers (default: 1).")
+    scan.add_argument("--format", dest="fmt", choices=("table", "csv", "jsonl"), default="table",
+                      help="Record output format (default: table).")
+    scan.add_argument("--out", metavar="FILE",
+                      help="Write records to this file instead of stdout.")
+    command("represent", cmd_represent).add_argument("p", type=int, metavar="P")
+    trib = command("trib", cmd_trib)
+    trib.add_argument("n", type=int, metavar="N")
+    trib.add_argument("--mod", dest="m", type=int, metavar="M", help="Reduce modulo this value.")
+    command("splitting", cmd_splitting).add_argument("p", type=int, metavar="P")
+    return parser
 
 
 def _configure_logging() -> None:
@@ -184,7 +195,8 @@ def _configure_logging() -> None:
     level = _LOG_LEVELS.get(name)
     if level is None:
         valid = ", ".join(_LOG_LEVELS)
-        click.echo(f"warning: unknown TRIB_LOG value {name!r}, expected one of {valid}", err=True)
+        print(f"warning: unknown TRIB_LOG value {name!r}, expected one of {valid}",
+              file=sys.stderr)
         level = logging.WARNING
     logging.basicConfig(level=level, stream=sys.stderr, format="%(name)s: %(message)s")
 
@@ -193,22 +205,32 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code instead of raising SystemExit."""
     _configure_logging()
     try:
-        rc = cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.ClickException as exc:  # includes UsageError
-        exc.show()
+        rc = _command(argv)
+        # a closed stdout is met here, while it can still become exit 1, and
+        # not by the interpreter's final flush, which would print a traceback
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # A closed stdout (`trib11 scan ... | head`): the reader stopped, so
+        # nothing is printed, and exit 1 says the output was not all written.
+        # Dropping stdout leaves the interpreter's final flush nothing to fail on.
+        sys.stdout = None
         return 1
-    except SystemExit as exc:
-        # A closed stdout: click catches the BrokenPipeError itself, even outside
-        # standalone mode, silences the final flush and exits 1.  The reader
-        # stopped, so nothing is printed.
-        return exc.code
     except (OSError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    return rc if isinstance(rc, int) else 0
 
+
+def _command(argv: list[str] | None) -> int:
+    # parse argv and run the command it names; its exit code
+    try:
+        args = vars(_parser().parse_args(argv))
+    except SystemExit as exc:
+        # --help exits 0; a parse error, once its usage block is printed, exits
+        # 1 rather than argparse's 2, which this command keeps for findings
+        return 1 if exc.code else 0
+    run = args.pop("run")
+    return run(**args)
 
 if __name__ == "__main__":
     sys.exit(main())

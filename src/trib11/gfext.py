@@ -21,12 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .modmath import (
-    InvalidModulus,
-    PrimeLike,
-    require_prime,
-    sqrt_mod,
-)
+from .modmath import InvalidModulus, PrimeLike, _sqrt_mod, require_prime
 
 #: coefficients of f = x^3 - x^2 - x - 1, constant term first
 F_COEFFS = (-1, -1, -1, 1)
@@ -226,7 +221,7 @@ def _gcd_poly(u: list[int], v: list[int], p: int) -> list[int]:
 def _quadratic_roots(b: int, c: int, p: int) -> tuple[int, int]:
     # both roots of the monic x^2 + bx + c, which must split over F_p
     disc = (b * b - 4 * c) % p
-    s = sqrt_mod(disc, p)
+    s = _sqrt_mod(disc, p)
     if s is None:
         raise ArithmeticError(f"quadratic x^2+{b}x+{c} unexpectedly irreducible mod {p}")
     half = (p + 1) // 2
@@ -276,28 +271,45 @@ def splitting_type(p: PrimeLike) -> SplittingType:
 
     Roots are recovered from gcd(f, x^p - x): a trivial gcd means f is
     irreducible, a linear gcd carries the unique root, and gcd = f means
-    f splits completely.  The two ramified primes get their own shapes,
-    with roots found by direct enumeration.
+    f splits completely, and equal-degree splitting separates its roots.
+    The two ramified primes get their own shapes, with roots found by
+    direct enumeration.
     """
-    pv = require_prime(p)
-    if pv in _RAMIFIED_SHAPE:
-        roots = tuple(r for r in range(pv) if _f_eval(r, pv) == 0)
-        return SplittingType(_RAMIFIED_SHAPE[pv], roots)
-    xp = _xpow(pv, pv)
-    u = [xp[0], (xp[1] - 1) % pv, xp[2]]
-    if not any(u):
-        shape = Shape.THREE_DISTINCT_ROOTS
-        roots: tuple[int, ...] = _three_roots(pv)
-    else:
-        g = _gcd_poly(u, [c % pv for c in F_COEFFS], pv)
-        deg = len(g) - 1
-        if deg == 0:
-            shape, roots = Shape.IRREDUCIBLE, ()
-        elif deg == 1:
-            shape, roots = Shape.ONE_ROOT_PLUS_IRREDUCIBLE_QUADRATIC, ((-g[0]) % pv,)
-        else:
-            raise ArithmeticError(f"impossible split-part degree {deg} mod {pv}")
+    return _splitting_type(require_prime(p))
+
+
+def _splitting_type(p: int) -> SplittingType:
+    # splitting_type for a p already known to be prime
+    shape, g = _gcd_shape(p)
+    if shape is Shape.THREE_DISTINCT_ROOTS:
+        roots: tuple[int, ...] = _three_roots(p)
+    elif shape is Shape.ONE_ROOT_PLUS_IRREDUCIBLE_QUADRATIC:
+        roots = ((-g[0]) % p,)
+    elif shape is Shape.IRREDUCIBLE:
+        roots = ()
+    else:  # ramified: p is 2 or 11
+        roots = tuple(r for r in range(p) if _f_eval(r, p) == 0)
     return SplittingType(shape, roots)
+
+
+def _gcd_shape(p: int) -> tuple[Shape, list[int]]:
+    # splitting_type's shape for a p known to be prime, from the degree of the
+    # monic g = gcd(f, x^p - x), returned with g: f, x - r or [1].  It searches
+    # for no root and does not use _frobenius_power's p mod 11 rule.  The
+    # ramified 2 and 11 get their fixed shapes and g = [].
+    if p in _RAMIFIED_SHAPE:
+        return _RAMIFIED_SHAPE[p], []
+    f_p = [c % p for c in F_COEFFS]
+    xp = _xpow(p, p)
+    u = [xp[0], (xp[1] - 1) % p, xp[2]]
+    if not any(u):
+        return Shape.THREE_DISTINCT_ROOTS, f_p
+    g = _gcd_poly(u, f_p, p)
+    if len(g) == 1:
+        return Shape.IRREDUCIBLE, g
+    if len(g) == 2:
+        return Shape.ONE_ROOT_PLUS_IRREDUCIBLE_QUADRATIC, g
+    raise ArithmeticError(f"impossible split-part degree {len(g) - 1} mod {p}")
 
 
 def frobenius_orbit(p: PrimeLike) -> int:

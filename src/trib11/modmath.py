@@ -78,14 +78,21 @@ def jacobi(a: int, n: int) -> int:
 
 
 def sqrt_mod(a: int, p: int) -> int | None:
-    """Square root of a modulo an odd prime p, or None if a is a non-residue.
+    """Square root of a modulo an odd prime p < 2**63, or None if a is a non-residue.
 
     Returns the smaller of the two roots so results are reproducible.
     Tonelli-Shanks in the general case, with the exponent shortcut for
-    p = 3 mod 4.
+    p = 3 mod 4.  An even p raises InvalidModulus, and any other p that is
+    not a prime below 2**63 raises NotPrime: modulo a composite the
+    non-residue search may never end, or the "root" may not square to a.
     """
     if p < 3 or p % 2 == 0:
         raise InvalidModulus(f"sqrt_mod needs an odd prime modulus, got {p}")
+    return _sqrt_mod(a, require_prime(p))
+
+
+def _sqrt_mod(a: int, p: int) -> int | None:
+    # sqrt_mod for a p already known to be an odd prime
     a %= p
     if a == 0:
         return 0

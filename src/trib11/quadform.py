@@ -9,7 +9,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
-from .modmath import PrimeLike, require_prime, sqrt_mod
+from .modmath import PrimeLike, _sqrt_mod, require_prime
 
 #: the fixed form coefficient; the public contract is x^2 + 11*y^2 only
 FORM_D = 11
@@ -43,9 +43,9 @@ def represent(p: PrimeLike) -> Representation:
 
 def _cornacchia(p: int) -> Representation:
     # represent for a p already known to be prime
-    if p == 2:  # sqrt_mod needs an odd prime
+    if p == 2:  # _sqrt_mod needs an odd prime
         return _NONE
-    b = sqrt_mod(-FORM_D % p, p)
+    b = _sqrt_mod(-FORM_D % p, p)
     if b is None:  # -11 is not a square mod p
         return _NONE
     prev = p

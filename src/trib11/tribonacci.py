@@ -22,10 +22,10 @@ from .gfext import (
     RingElement,
     Shape,
     _cofactor_quadratic,
+    _splitting_type,
     _xpow,
-    splitting_type,
 )
-from .modmath import InvalidModulus, ModPrime, PrimeLike, require_prime
+from .modmath import InvalidModulus, PrimeLike, require_prime
 
 #: trib_exact refuses indexes above this; T_n has about 0.56*n bits
 EXACT_INDEX_LIMIT = 10**6
@@ -92,7 +92,7 @@ def build_root_context(p: PrimeLike) -> RootFormulaContext:
     pv = require_prime(p)
     if pv in RAMIFIED_PRIMES:
         raise RamifiedPrime(f"no root context at ramified prime {pv}")
-    st = splitting_type(ModPrime(pv))
+    st = _splitting_type(pv)
     if st.shape is Shape.THREE_DISTINCT_ROOTS:
         ring = QuotientRing(pv, (0,))  # F_p, as the degree-1 quotient by x
         alpha, beta, gamma = (ring.const(r) for r in st.roots)

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
-from .gfext import FrobeniusClass, Shape, _frobenius_power, splitting_type
-from .modmath import MAX_MODULUS, ModPrime, PrimeLike, primes_in_range, require_prime
+from .gfext import FrobeniusClass, Shape, _frobenius_power, _gcd_shape
+from .modmath import MAX_MODULUS, PrimeLike, primes_in_range, require_prime
 from .quadform import _cornacchia
 from .tribonacci import trib_mod
 
@@ -134,10 +134,11 @@ def _chunk_verdicts(bounds: tuple[int, int]) -> list[VerdictRecord]:
 
 
 def _chunk_classes(bounds: tuple[int, int]) -> list[tuple[int, FrobeniusClass, bool]]:
-    # (p, class by the gcd classifier, p | T_{p-1} by trib_mod) for obstruction_check
+    # (p, class by the gcd classifier, p | T_{p-1} by trib_mod) for obstruction_check;
+    # the class needs the degree of gcd(f, x^p - x) only, never the roots
     lo, hi = bounds
     return [
-        (p, splitting_type(ModPrime(p)).frobenius_class, trib_mod(p - 1, p) == 0)
+        (p, _gcd_shape(p)[0].frobenius_class, trib_mod(p - 1, p) == 0)
         for p in primes_in_range(lo, hi)
     ]
 
@@ -217,10 +218,12 @@ def obstruction_check(lo: int, hi: int, workers: int = 1) -> ObstructionReport:
     never does.  Ramified primes carry no class and are only counted.
 
     This pass does not reuse the scan's verdicts.  It classifies with the
-    gcd-based `splitting_type`, takes the residue from `trib_mod`, and
-    runs no Cornacchia.  "Identity => p | T_{p-1}" holds here by
-    construction: `trib_mod` and `splitting_type` share the power ladder
-    `_xpow`, and x^p = x leaves T_{p-1}, the x^2 coefficient, at zero.
+    gcd classifier behind `splitting_type`, which reads the class from the
+    degree of gcd(f, x^p - x) and looks for no roots, takes the residue
+    from `trib_mod`, and runs no Cornacchia.  "Identity => p | T_{p-1}"
+    holds here by construction: `trib_mod` and the classifier share the
+    power ladder `_xpow`, and x^p = x leaves T_{p-1}, the x^2 coefficient,
+    at zero.
     Independent coverage of the residue comes from acceptance criteria
     04 (`trib_via_roots`), 05 (`frobenius_reduction_check`) and 08
     (plain iteration).  Criterion 06 compares `checked` with a scan's

@@ -29,6 +29,14 @@ def run(capsys, *args):
     return rc, captured.out, captured.err
 
 
+def assert_usage_error(result, prog="trib11"):
+    """A parse error: exit 1, nothing on stdout, a usage block and one error line on stderr."""
+    rc, out, err = result
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"usage: {prog} ")
+    assert err.splitlines()[-1].startswith(f"{prog}: error: ")
+
+
 def test_verdict_consistent(capsys):
     rc, out, _ = run(capsys, "verdict", "7")
     assert rc == 0
@@ -50,9 +58,7 @@ def test_verdict_not_prime(capsys):
 
 
 def test_verdict_usage_error(capsys):
-    rc, _, err = run(capsys, "verdict", "abc")
-    assert rc == 1
-    assert err
+    assert_usage_error(run(capsys, "verdict", "abc"), "trib11 verdict")
 
 
 def test_represent(capsys):
@@ -236,7 +242,8 @@ def test_scan_usage_errors(capsys):
     assert run(capsys, "scan", "--to", "10", "--workers", "0") == (
         1, "", "error: need workers >= 1, got 0\n"
     )
-    assert run(capsys, "scan")[0] == 1  # --to required
+    assert_usage_error(run(capsys, "scan"), "trib11 scan")  # --to required
+    assert_usage_error(run(capsys, "scan", "--to", "1e6"), "trib11 scan")
 
 
 def test_scan_out_file_and_worker_determinism(tmp_path, capsys):
@@ -282,11 +289,18 @@ def test_rerun_is_byte_identical(capsys):
 
 
 def test_unknown_command(capsys):
-    assert run(capsys, "frobnicate")[0] == 1
+    assert_usage_error(run(capsys, "frobnicate"))
+
+
+def test_no_command(capsys):
+    assert_usage_error(run(capsys))
 
 
 def test_help_exits_zero(capsys):
-    assert run(capsys, "--help")[0] == 0
+    for args in ((), ("scan",), ("trib",)):
+        rc, out, err = run(capsys, *args, "--help")
+        assert (rc, err) == (0, "")
+        assert out.startswith(" ".join(("usage: trib11", *args)))
 
 
 def test_record_lines_rejects_unknown_format():
@@ -368,6 +382,13 @@ def run_capped(*args, lines=None):
     return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
 
 
+def test_cli_runs_on_the_standard_library_alone():
+    # -S leaves site-packages off the path, so no third-party package can be imported
+    proc = run_capped("-S", "-m", "trib11", "scan", "--to", "1000", "--format", "csv")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "violations: [11, 19]"
+
+
 def test_one_worker_scan_loads_no_multiprocessing():
     code = (
         "import sys\n"
@@ -426,9 +447,25 @@ def test_closed_stdout_is_an_exit_code_not_an_exception(monkeypatch, capsys):
             raise BrokenPipeError(32, "Broken pipe")
 
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
-    monkeypatch.setattr(sys, "stderr", sys.stderr)  # click rewraps both streams; restore them
     assert main(["scan", "--to", "100", "--format", "csv"]) == 1
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("args", [("verdict", "47"), ("scan", "--to", "100"), ("--help",)])
+def test_closed_stdout_is_met_before_the_final_flush(args):
+    # output this short sits in stdout's buffer until a flush; with the
+    # interpreter's default buffering, only a flush inside main turns the closed
+    # pipe into exit 1 rather than an "Exception ignored" traceback and exit 120
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(trib11.__file__).parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command starts
+    try:
+        proc = subprocess.run([sys.executable, "-m", "trib11", *args], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_info_log_summarises_the_scan(monkeypatch):

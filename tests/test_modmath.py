@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +125,31 @@ def test_sqrt_mod_basics():
 def test_sqrt_mod_rejects_even_modulus():
     with pytest.raises(InvalidModulus):
         sqrt_mod(1, 2)
+
+
+def test_sqrt_mod_refuses_a_composite_modulus():
+    with pytest.raises(InvalidModulus):
+        sqrt_mod(1, 4)  # parity is checked first
+    with pytest.raises(NotPrime):
+        sqrt_mod(2, 15)  # Tonelli-Shanks would return 1, and 1 * 1 % 15 != 2
+    with pytest.raises(NotPrime):
+        sqrt_mod(4, MAX_MODULUS + 1)
+
+
+def test_sqrt_mod_refuses_a_square_modulus_promptly():
+    # modulo 9 the non-residue search of Tonelli-Shanks never ends, so the call
+    # runs in a child process, where a hang fails the test at the timeout
+    code = (
+        "from trib11.modmath import NotPrime, sqrt_mod\n"
+        "try:\n"
+        "    sqrt_mod(1, 9)\n"
+        "except NotPrime:\n"
+        "    print('refused')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(modmath.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "refused\n"), proc.stderr
 
 
 def test_sqrt_mod_exhaustive_small_primes():

@@ -1,6 +1,6 @@
 import pytest
 
-from trib11 import verifier
+from trib11 import gfext, verifier
 from trib11.gfext import FrobeniusClass, Shape
 from trib11.modmath import MAX_MODULUS, NotPrime
 from trib11.quadform import represent_bruteforce
@@ -238,6 +238,17 @@ def test_obstruction_small_range():
     rec19 = verdict(19)
     assert rec19.frobenius is FrobeniusClass.TRANSPOSITION and rec19.divisible
     assert 38 % 19 == 0
+
+
+def test_obstruction_classes_find_no_roots(monkeypatch):
+    # the degree of gcd(f, x^p - x) fixes the class; the equal-degree root finder never runs
+    def no_roots(p):
+        raise AssertionError(f"roots searched for mod {p}")
+
+    monkeypatch.setattr(gfext, "_three_roots", no_roots)
+    report = obstruction_check(2, 2000)
+    assert report.status == "OK"
+    assert report.checked == scan(2, 2000).class_counts
 
 
 def test_obstruction_validates_range(monkeypatch):
