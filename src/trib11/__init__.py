@@ -7,95 +7,71 @@ all three sides fast, checks them against each other over prime ranges,
 and rediscovers the two exceptions.
 """
 
-from .gfext import (
-    DISCRIMINANT,
-    F_COEFFS,
-    RAMIFIED_PRIMES,
-    FrobeniusClass,
-    ModulusMismatch,
-    QuotientRing,
-    RamifiedPrime,
-    RingElement,
-    Shape,
-    SplittingType,
-    frobenius_orbit,
-    frobenius_power,
-    splitting_type,
-)
-from .modmath import (
-    MAX_MODULUS,
-    InvalidModulus,
-    ModPrime,
-    NotPrime,
-    is_prime,
-    jacobi,
-    primes_in_range,
-    require_prime,
-    sqrt_mod,
-)
-from .quadform import FORM_D, Representation, represent, represent_bruteforce
-from .tribonacci import (
-    EXACT_INDEX_LIMIT,
-    IndexOutOfRange,
-    RootFormulaContext,
-    build_root_context,
-    frobenius_reduction_check,
-    trib_exact,
-    trib_mod,
-    trib_via_roots,
-)
-from .verifier import (
-    KNOWN_EXCEPTIONS,
-    ObstructionReport,
-    ScanReport,
-    VerdictRecord,
-    obstruction_check,
-    scan,
-    verdict,
-)
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "DISCRIMINANT",
-    "EXACT_INDEX_LIMIT",
-    "F_COEFFS",
-    "FORM_D",
-    "FrobeniusClass",
-    "IndexOutOfRange",
-    "InvalidModulus",
-    "KNOWN_EXCEPTIONS",
-    "MAX_MODULUS",
-    "ModPrime",
-    "ModulusMismatch",
-    "NotPrime",
-    "ObstructionReport",
-    "QuotientRing",
-    "RAMIFIED_PRIMES",
-    "RamifiedPrime",
-    "Representation",
-    "RingElement",
-    "RootFormulaContext",
-    "ScanReport",
-    "Shape",
-    "SplittingType",
-    "VerdictRecord",
-    "build_root_context",
-    "frobenius_orbit",
-    "frobenius_power",
-    "frobenius_reduction_check",
-    "is_prime",
-    "jacobi",
-    "obstruction_check",
-    "primes_in_range",
-    "represent",
-    "represent_bruteforce",
-    "require_prime",
-    "scan",
-    "splitting_type",
-    "sqrt_mod",
-    "trib_exact",
-    "trib_mod",
-    "trib_via_roots",
-    "verdict",
-]
+#: each public name, in the order of __all__, and the submodule that defines it
+_SOURCES = {
+    "DISCRIMINANT": "gfext",
+    "EXACT_INDEX_LIMIT": "tribonacci",
+    "F_COEFFS": "gfext",
+    "FORM_D": "quadform",
+    "FrobeniusClass": "gfext",
+    "IndexOutOfRange": "tribonacci",
+    "InvalidModulus": "modmath",
+    "KNOWN_EXCEPTIONS": "verifier",
+    "MAX_MODULUS": "modmath",
+    "ModPrime": "modmath",
+    "ModulusMismatch": "gfext",
+    "NotPrime": "modmath",
+    "ObstructionReport": "verifier",
+    "QuotientRing": "gfext",
+    "RAMIFIED_PRIMES": "gfext",
+    "RamifiedPrime": "gfext",
+    "Representation": "quadform",
+    "RingElement": "gfext",
+    "RootFormulaContext": "tribonacci",
+    "ScanReport": "verifier",
+    "Shape": "gfext",
+    "SplittingType": "gfext",
+    "VerdictRecord": "verifier",
+    "build_root_context": "tribonacci",
+    "frobenius_orbit": "gfext",
+    "frobenius_power": "gfext",
+    "frobenius_reduction_check": "tribonacci",
+    "is_prime": "modmath",
+    "jacobi": "modmath",
+    "obstruction_check": "verifier",
+    "primes_in_range": "modmath",
+    "represent": "quadform",
+    "represent_bruteforce": "quadform",
+    "require_prime": "modmath",
+    "scan": "verifier",
+    "splitting_type": "gfext",
+    "sqrt_mod": "modmath",
+    "trib_exact": "tribonacci",
+    "trib_mod": "tribonacci",
+    "trib_via_roots": "tribonacci",
+    "verdict": "verifier",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    # PEP 562: a public name's submodule is imported on first access, and the
+    # name is bound here so later lookups never reach this function
+    try:
+        source = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    # imported after the lookup: `from . import cli` and the like probe this
+    # function for submodule names, and those need no importlib
+    from importlib import import_module
+
+    value = getattr(import_module(f".{source}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

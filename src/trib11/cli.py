@@ -19,7 +19,6 @@ Set TRIB_LOG to quiet, info or debug to control diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from contextlib import nullcontext
@@ -27,7 +26,6 @@ from typing import Iterable
 
 from . import verifier
 from .quadform import represent as qf_represent
-from .tribonacci import EXACT_INDEX_LIMIT, IndexOutOfRange, trib_exact, trib_mod
 from .gfext import splitting_type
 from .verifier import ScanReport, VerdictRecord
 
@@ -36,7 +34,7 @@ CSV_COLUMNS = VerdictRecord._fields
 
 _TABLE_WIDTHS = (9, 10, 9, 13, 6, 6, 31, 13, 10, 11)
 
-_LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
+_LOG_LEVELS = ("quiet", "info", "debug")
 
 
 def _csv_line(rec: VerdictRecord) -> str:
@@ -129,6 +127,8 @@ def _decimal(value: int) -> str:
 
 def cmd_trib(n: int, m: int | None) -> int:
     """Print T_N exactly, or T_N mod M with --mod."""
+    from .tribonacci import EXACT_INDEX_LIMIT, IndexOutOfRange, trib_exact, trib_mod
+
     if m is None:
         try:
             value = trib_exact(n)
@@ -191,14 +191,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _configure_logging() -> None:
+    # logging is imported only for info or debug: the library logs nothing louder,
+    # and it skips its records while the process has not imported logging
     name = os.environ.get("TRIB_LOG", "quiet")
-    level = _LOG_LEVELS.get(name)
-    if level is None:
+    if name not in _LOG_LEVELS:
         valid = ", ".join(_LOG_LEVELS)
         print(f"warning: unknown TRIB_LOG value {name!r}, expected one of {valid}",
               file=sys.stderr)
-        level = logging.WARNING
-    logging.basicConfig(level=level, stream=sys.stderr, format="%(name)s: %(message)s")
+    elif name != "quiet":
+        import logging
+
+        logging.basicConfig(level=name.upper(), stream=sys.stderr, format="%(name)s: %(message)s")
 
 
 def main(argv: list[str] | None = None) -> int:

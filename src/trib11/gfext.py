@@ -19,7 +19,7 @@ root formula evaluates in.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .modmath import InvalidModulus, PrimeLike, _sqrt_mod, require_prime
 
@@ -88,8 +88,7 @@ _X = (0, 1, 0)
 RAMIFIED_PRIMES = tuple(_RAMIFIED_SHAPE)
 
 
-@dataclass(frozen=True, slots=True)
-class SplittingType:
+class SplittingType(NamedTuple):
     """Shape of f mod p and its distinct roots (ascending)."""
 
     shape: Shape

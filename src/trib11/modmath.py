@@ -9,7 +9,6 @@ integers would struggle with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from math import isqrt
 from typing import Iterator, Union
@@ -25,19 +24,34 @@ class NotPrime(ValueError):
     """An argument that must be prime is not."""
 
 
-@dataclass(frozen=True, slots=True)
 class ModPrime:
     """A prime modulus, certified by whoever builds it.
 
     Construction checks only the range; it is meant for callers that
     already know the value is prime (e.g. consumers of the sieve).
+    `p` is read-only; two ModPrimes are equal when their primes are.
     """
 
-    p: int
+    __slots__ = ("_p",)
 
-    def __post_init__(self) -> None:
-        if not 2 <= self.p < MAX_MODULUS:
-            raise InvalidModulus(f"modulus out of range [2, 2**63): {self.p}")
+    def __init__(self, p: int) -> None:
+        if not 2 <= p < MAX_MODULUS:
+            raise InvalidModulus(f"modulus out of range [2, 2**63): {p}")
+        self._p = p
+
+    @property
+    def p(self) -> int:
+        """The prime (read-only)."""
+        return self._p
+
+    def __repr__(self) -> str:
+        return f"ModPrime(p={self._p})"
+
+    def __eq__(self, other: object) -> bool:
+        return self._p == other._p if type(other) is ModPrime else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._p)
 
 
 PrimeLike = Union[int, ModPrime]

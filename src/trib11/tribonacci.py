@@ -11,7 +11,7 @@ Indexing is fixed by T_0 = 0, T_1 = T_2 = 1, T_3 = 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gfext import (
     DISCRIMINANT,
@@ -66,8 +66,7 @@ def trib_mod(n: int, m: int) -> int:
     return _xpow(n + 1, m)[2]
 
 
-@dataclass(frozen=True)
-class RootFormulaContext:
+class RootFormulaContext(NamedTuple):
     """The three roots of x^3 - x^2 - x - 1 over F_p, in their ambient ring.
 
     When the cubic splits completely the ring is F_p itself; with one

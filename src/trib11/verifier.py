@@ -17,20 +17,15 @@ in bounded memory.
 
 from __future__ import annotations
 
-import logging
 import os
+import sys
 from collections import deque
-from concurrent import futures
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .gfext import FrobeniusClass, Shape, _frobenius_power, _gcd_shape
 from .modmath import MAX_MODULUS, PrimeLike, primes_in_range, require_prime
 from .quadform import _cornacchia
-from .tribonacci import trib_mod
-
-logger = logging.getLogger(__name__)
 
 #: the primes where divisibility and representability legitimately disagree
 KNOWN_EXCEPTIONS = frozenset({11, 19})
@@ -61,16 +56,17 @@ class VerdictRecord(NamedTuple):
     exceptional: bool
 
 
-@dataclass
 class ScanReport:
     """Counts over the verdicts of [lo, hi); `records` is kept only by `scan`."""
 
-    lo: int
-    hi: int
-    records: list[VerdictRecord] = field(default_factory=list)
-    class_counts: dict[FrobeniusClass, int] = field(
-        default_factory=lambda: dict.fromkeys(FrobeniusClass, 0))
-    violations: list[int] = field(default_factory=list)
+    __slots__ = ("lo", "hi", "records", "class_counts", "violations")
+
+    def __init__(self, lo: int, hi: int) -> None:
+        self.lo = lo
+        self.hi = hi
+        self.records: list[VerdictRecord] = []
+        self.class_counts = dict.fromkeys(FrobeniusClass, 0)
+        self.violations: list[int] = []
 
     @property
     def n_primes(self) -> int:
@@ -93,12 +89,11 @@ class ScanReport:
             if rec.exceptional:
                 self.violations.append(rec.p)
             yield rec
-        logger.info("scan [%d, %d): %d primes, violations %s, status %s",
-                    self.lo, self.hi, self.n_primes, self.violations, self.status)
+        _log("info", "scan [%d, %d): %d primes, violations %s, status %s",
+             self.lo, self.hi, self.n_primes, self.violations, self.status)
 
 
-@dataclass
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     """Outcome of the per-class divisibility obstructions over a range."""
 
     lo: int
@@ -109,6 +104,15 @@ class ObstructionReport:
     @property
     def status(self) -> str:
         return "FAILED" if self.failures else "OK"
+
+
+def _log(level: str, msg: str, *args) -> None:
+    # log to this module's logger at `level` ("info", "debug") if the process has
+    # imported logging.  One that has not has no handler for the record, and Python's
+    # last-resort handler drops INFO and DEBUG, so a scan need not import logging.
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        getattr(logging.getLogger(__name__), level)(msg, *args, stacklevel=2)
 
 
 def verdict(p: PrimeLike) -> VerdictRecord:
@@ -136,6 +140,8 @@ def _chunk_verdicts(bounds: tuple[int, int]) -> list[VerdictRecord]:
 def _chunk_classes(bounds: tuple[int, int]) -> list[tuple[int, FrobeniusClass, bool]]:
     # (p, class by the gcd classifier, p | T_{p-1} by trib_mod) for obstruction_check;
     # the class needs the degree of gcd(f, x^p - x) only, never the roots
+    from .tribonacci import trib_mod  # imported here: a scan never loads it
+
     lo, hi = bounds
     return [
         (p, _gcd_shape(p)[0].frobenius_class, trib_mod(p - 1, p) == 0)
@@ -172,8 +178,10 @@ def _usable_cpus() -> int:
 
 def _pooled(chunk_fn, bounds: Iterator[tuple[int, int]], workers: int) -> Iterator[list]:
     # in order, with at most _IN_FLIGHT chunks per worker submitted and not yet consumed;
-    # the pool's module, and multiprocessing with it, is imported only here
-    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    # concurrent.futures, and multiprocessing with it, is imported only here
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         pending = deque(pool.submit(chunk_fn, b) for b in islice(bounds, _IN_FLIGHT * workers))
         while pending:
             part = pending.popleft().result()
@@ -185,7 +193,7 @@ def _flatten(parts: Iterable[list], n_chunks: int) -> Iterator:
     n = 0
     for i, part in enumerate(parts, 1):
         n += len(part)
-        logger.debug("chunk %d/%d done (%d primes so far)", i, n_chunks, n)
+        _log("debug", "chunk %d/%d done (%d primes so far)", i, n_chunks, n)
         yield from part
 
 

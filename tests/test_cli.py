@@ -15,7 +15,7 @@ import pytest
 import trib11
 from trib11.cli import _csv_line, _jsonl_obj, _row, main, record_lines, summary_line
 from trib11.modmath import MAX_MODULUS, is_prime
-from trib11.verifier import scan, verdict
+from trib11.verifier import _usable_cpus, scan, verdict
 
 from oracles import sieve_list, trib_list_exact
 
@@ -389,16 +389,36 @@ def test_cli_runs_on_the_standard_library_alone():
     assert proc.stdout.splitlines()[-1] == "violations: [11, 19]"
 
 
-def test_one_worker_scan_loads_no_multiprocessing():
+#: modules a one-worker scan has no use for
+_NOT_FOR_A_SCAN = ("dataclasses", "logging", "concurrent.futures", "multiprocessing",
+                   "trib11.tribonacci")
+
+
+def loaded_by(*args):
+    """Which of _NOT_FOR_A_SCAN `main(args)` loads, in a fresh `python -S`.
+
+    -S keeps `site` from importing modules of its own; the command must exit 0.
+    """
     code = (
         "import sys\n"
         "from trib11.cli import main\n"
-        "assert main(['scan', '--to', '1000', '--format', 'csv']) == 0\n"
-        "assert 'multiprocessing' not in sys.modules\n"
+        f"rc = main({list(args)!r})\n"
+        f"print(*(m for m in {_NOT_FOR_A_SCAN!r} if m in sys.modules), file=sys.stderr)\n"
+        "sys.exit(rc)\n"
     )
-    proc = run_capped("-c", code)
+    proc = run_capped("-S", "-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.endswith("violations: [11, 19]\n")
+    return proc.stderr.split()
+
+
+def test_a_scan_imports_only_what_it_runs(monkeypatch):
+    monkeypatch.delenv("TRIB_LOG", raising=False)
+    assert loaded_by("scan", "--to", "100", "--format", "csv") == []
+    # three chunks on two workers: only a pool loads concurrent.futures, which
+    # brings logging and multiprocessing with it
+    pooled = ["logging", "concurrent.futures", "multiprocessing"] if _usable_cpus() > 1 else []
+    assert loaded_by("scan", "--to", "70000", "--format", "csv", "--workers", "2") == pooled
+    assert loaded_by("trib", "10") == ["trib11.tribonacci"]
 
 
 def test_scan_top_of_domain_in_bounded_memory():
@@ -474,6 +494,13 @@ def test_info_log_summarises_the_scan(monkeypatch):
     assert proc.returncode == 0, proc.stderr
     summary = "trib11.verifier: scan [2, 100): 25 primes, violations [11, 19], status OK"
     assert summary in proc.stderr.splitlines()
+
+
+def test_debug_log_reports_each_chunk(monkeypatch):
+    monkeypatch.setenv("TRIB_LOG", "debug")
+    proc = run_capped("-m", "trib11", "scan", "--to", "100")
+    assert proc.returncode == 0, proc.stderr
+    assert "trib11.verifier: chunk 1/1 done (25 primes so far)" in proc.stderr.splitlines()
 
 
 def test_range_beyond_domain_is_refused_at_once():

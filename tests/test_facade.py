@@ -1,4 +1,10 @@
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import trib11
 
@@ -12,3 +18,35 @@ def test_all_lists_exactly_the_public_names():
     }
     assert public == set(trib11.__all__)
     assert len(trib11.__all__) == len(set(trib11.__all__))
+
+
+def fresh_stdout(code):
+    """Stdout of `code` run by a fresh interpreter that imports this checkout's trib11."""
+    env = dict(os.environ, PYTHONPATH=str(Path(trib11.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_dir_lists_every_public_name_before_any_is_loaded():
+    out = fresh_stdout(
+        "import trib11\n"
+        "print(sorted(set(trib11.__all__) - set(dir(trib11))))\n"
+        "print(sorted(set(trib11.__all__) & set(vars(trib11))))\n"  # bound so far
+    )
+    assert out == "[]\n[]\n"
+
+
+def test_star_import_binds_every_public_name():
+    out = fresh_stdout(
+        "from trib11 import *\n"
+        "import trib11\n"
+        "print([n for n in trib11.__all__ if globals().get(n) is not getattr(trib11, n)])\n"
+    )
+    assert out == "[]\n"
+
+
+def test_unknown_attribute_is_an_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'$"):
+        trib11.no_such_name

@@ -1,3 +1,6 @@
+import concurrent.futures
+import logging
+
 import pytest
 
 from trib11 import gfext, verifier
@@ -159,7 +162,7 @@ def serial_pools(monkeypatch):
             self.peak = max(self.peak, self.in_flight)
             return _Deferred(self, fn, arg)
 
-    monkeypatch.setattr(verifier.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return pools
 
 
@@ -209,6 +212,13 @@ def test_worker_count_below_one_is_refused_at_once(serial_pools, monkeypatch):
             with pytest.raises(ValueError, match=f"^need workers >= 1, got {workers}$"):
                 fn(2, 10**6, workers=workers)
     assert serial_pools == []
+
+
+def test_scan_summary_reaches_a_caller_that_configured_logging(caplog):
+    with caplog.at_level(logging.INFO, logger="trib11.verifier"):
+        scan(2, 100)
+    summary = "scan [2, 100): 25 primes, violations [11, 19], status OK"
+    assert caplog.record_tuples == [("trib11.verifier", logging.INFO, summary)]
 
 
 def test_scan_worker_count_does_not_change_results():
