@@ -21,14 +21,14 @@ _SOURCES = {
     "KNOWN_EXCEPTIONS": "verifier",
     "MAX_MODULUS": "modmath",
     "ModPrime": "modmath",
-    "ModulusMismatch": "gfext",
+    "ModulusMismatch": "tribonacci",
     "NotPrime": "modmath",
     "ObstructionReport": "verifier",
-    "QuotientRing": "gfext",
+    "QuotientRing": "tribonacci",
     "RAMIFIED_PRIMES": "gfext",
     "RamifiedPrime": "gfext",
     "Representation": "quadform",
-    "RingElement": "gfext",
+    "RingElement": "tribonacci",
     "RootFormulaContext": "tribonacci",
     "ScanReport": "verifier",
     "Shape": "gfext",

@@ -7,13 +7,14 @@ f mod p lands in one of three classes matching the conjugacy classes of
 S3, exposed here as `splitting_type` / `frobenius_orbit`.
 
 Every power in F_p[x]/(f) goes through one square-and-shift ladder,
-`_xpow`, which takes (x + a)^n; the scan's per-prime facts all come from
-the single power x^p (`frobenius_power`).
-
-A small generic quotient ring F_p[x]/(m) for monic m of degree 1..3 is
-also provided; it carries the three ambient rings (the prime field, a
-quadratic extension, the full cubic extension) the explicit Tribonacci
-root formula evaluates in.
+`_xpow`, which takes (x + a)^n.  The scan's per-prime facts all come
+from x^p, which it takes in batches (`_frobenius_powers`): consecutive
+primes whose product m reaches `_BATCH_BITS` bits share one ladder for
+x^q1 mod m, each later prime's x^q mod m is the one before times x^g
+for the gap g, and x^q mod m reduces to x^q mod q.  `frobenius_power`
+is the batch of one.  `splitting_type`, `frobenius_orbit` and
+`tribonacci.trib_mod` take their powers prime by prime, so the tests and
+the obstruction check judge the batched walk by them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .modmath import InvalidModulus, PrimeLike, _sqrt_mod, require_prime
+from .modmath import PrimeLike, _sqrt_mod, require_prime
 
 #: coefficients of f = x^3 - x^2 - x - 1, constant term first
 F_COEFFS = (-1, -1, -1, 1)
@@ -32,10 +33,6 @@ DISCRIMINANT = -44
 
 class RamifiedPrime(ValueError):
     """The operation needs a prime where f mod p is squarefree; 2 and 11 are not."""
-
-
-class ModulusMismatch(ValueError):
-    """Mixed operands from different moduli or rings."""
 
 
 class Shape(enum.Enum):
@@ -164,17 +161,64 @@ def frobenius_power(p: PrimeLike) -> tuple[tuple[int, int, int], Shape]:
 
 
 def _frobenius_power(p: int) -> tuple[tuple[int, int, int], Shape]:
-    # frobenius_power for a p already known to be prime
-    xp = _xpow(p, p)
-    if p in _RAMIFIED_SHAPE:
-        shape = _RAMIFIED_SHAPE[p]
-    elif xp == _X:
-        shape = Shape.THREE_DISTINCT_ROOTS
-    elif p % 11 in _SQUARES_MOD_11:
-        shape = Shape.IRREDUCIBLE
-    else:
-        shape = Shape.ONE_ROOT_PLUS_IRREDUCIBLE_QUADRATIC
+    # frobenius_power for a p already known to be prime: the batch of one
+    _, xp, shape = next(_frobenius_powers((p,)))
     return xp, shape
+
+
+#: a batch of primes closes once their product reaches this many bits
+_BATCH_BITS = 192
+
+
+def _frobenius_powers(primes):
+    # (q, x^q in F_q[x]/(f), shape of f mod q) for each of the ascending primes,
+    # in order.  Consecutive primes gather into a batch until their product m
+    # reaches _BATCH_BITS bits; the batch shares one ladder, for x^q1 mod m, and
+    # every later q is reached from the one before by a single product with x^g,
+    # g the gap.  Z/m -> Z/q is a ring map and f is monic, so x^q mod m taken
+    # mod q is x^q in F_q[x]/(f).
+    batch = []
+    m = 1
+    for q in primes:
+        batch.append(q)
+        m *= q
+        if m.bit_length() >= _BATCH_BITS:
+            yield from _walk(batch, m)
+            batch = []
+            m = 1
+    if batch:
+        yield from _walk(batch, m)
+
+
+def _walk(batch, m):
+    # _frobenius_powers for one batch, ascending, whose product is m
+    prev = batch[0]
+    r0, r1, r2 = _xpow(prev, m)
+    for q in batch:
+        g = q - prev
+        if g:
+            # r * x^g, folding x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1
+            s0, s1, s2 = _X_POWERS[g] if g < 1 << _TABLE_BITS else _xpow(g, m)
+            c3 = r1 * s2 + r2 * s1
+            c4 = r2 * s2
+            t = c3 + c4
+            u = t + c4
+            r0, r1, r2 = (
+                (r0 * s0 + t) % m,
+                (r0 * s1 + r1 * s0 + u) % m,
+                (r0 * s2 + r1 * s1 + r2 * s0 + u) % m,
+            )
+            prev = q
+        xp = r0 % q, r1 % q, r2 % q
+        if q in _RAMIFIED_SHAPE:
+            shape = _RAMIFIED_SHAPE[q]
+        elif xp == _X:
+            shape = Shape.THREE_DISTINCT_ROOTS
+        elif q % 11 in _SQUARES_MOD_11:
+            shape = Shape.IRREDUCIBLE
+        else:
+            shape = Shape.ONE_ROOT_PLUS_IRREDUCIBLE_QUADRATIC
+        yield q, xp, shape
 
 
 def _f_eval(r: int, p: int) -> int:
@@ -323,127 +367,3 @@ def frobenius_orbit(p: PrimeLike) -> int:
     if _xpow(pv**3, pv) != _X:
         raise ArithmeticError(f"Frobenius orbit of x mod {pv} exceeds 3")
     return 3
-
-
-# -- generic quotient ring F_p[x]/(m), degree 1 to 3 --
-
-
-class QuotientRing:
-    """F_p[x]/(m) for a monic m of degree 1..3 given by its lower coefficients.
-
-    Degree 1 realizes F_p itself (elements are constants), degree 2 a
-    quadratic extension, degree 3 the cubic one.
-    """
-
-    __slots__ = ("p", "modulus", "degree")
-
-    def __init__(self, p: int, modulus: tuple[int, ...]):
-        if p < 2:
-            raise InvalidModulus(f"characteristic must be at least 2, got {p}")
-        if not 1 <= len(modulus) <= 3:
-            raise ValueError(f"modulus degree must be 1..3, got {len(modulus)}")
-        self.p = p
-        self.modulus = tuple(c % p for c in modulus)
-        self.degree = len(self.modulus)
-
-    def element(self, coeffs) -> "RingElement":
-        c = [v % self.p for v in coeffs]
-        if len(c) > self.degree:
-            raise ValueError(f"got {len(c)} coefficients for degree {self.degree}")
-        c += [0] * (self.degree - len(c))
-        return RingElement(self, tuple(c))
-
-    def const(self, c: int) -> "RingElement":
-        return self.element([c])
-
-    def gen(self) -> "RingElement":
-        """The image of x; in degree 1 that is the constant -m0."""
-        if self.degree == 1:
-            return self.const(-self.modulus[0])
-        return self.element([0, 1])
-
-    def same_as(self, other: "QuotientRing") -> bool:
-        return self.p == other.p and self.modulus == other.modulus
-
-    def __repr__(self) -> str:
-        return f"QuotientRing(p={self.p}, modulus={self.modulus})"
-
-
-class RingElement:
-    """An element of a QuotientRing; supports +, -, *, ** and equality."""
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring: QuotientRing, coeffs: tuple[int, ...]):
-        self.ring = ring
-        self.coeffs = coeffs
-
-    def _check(self, other: "RingElement") -> None:
-        if self.ring is not other.ring and not self.ring.same_as(other.ring):
-            raise ModulusMismatch(f"elements of {self.ring} and {other.ring}")
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        p = self.ring.p
-        return RingElement(
-            self.ring, tuple((x + y) % p for x, y in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        p = self.ring.p
-        return RingElement(
-            self.ring, tuple((x - y) % p for x, y in zip(self.coeffs, other.coeffs))
-        )
-
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        ring = self.ring
-        p, d, m = ring.p, ring.degree, ring.modulus
-        prod = [0] * (2 * d - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(other.coeffs):
-                    prod[i + j] += ai * bj
-        # fold x^k for k >= d using x^d = -(m0 + m1 x + ...)
-        for k in range(2 * d - 2, d - 1, -1):
-            t = prod[k]
-            if t:
-                for i, mc in enumerate(m):
-                    prod[k - d + i] -= t * mc
-        return RingElement(ring, tuple(c % p for c in prod[:d]))
-
-    def __pow__(self, exp: int) -> "RingElement":
-        if exp < 0:
-            raise ValueError(f"exponent must be non-negative, got {exp}")
-        result = self.ring.const(1)
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            exp >>= 1
-            if exp:
-                base = base * base
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RingElement)
-            and self.ring.same_as(other.ring)
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ring.p, self.ring.modulus, self.coeffs))
-
-    @property
-    def is_constant(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    def constant_value(self) -> int:
-        if not self.is_constant:
-            raise ArithmeticError(f"{self.coeffs} is not a prime-field constant")
-        return self.coeffs[0]
-
-    def __repr__(self) -> str:
-        return f"RingElement({self.coeffs} mod {self.ring.modulus}, p={self.ring.p})"

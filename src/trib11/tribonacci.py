@@ -4,7 +4,10 @@ T_n as the x^2 coefficient of x^(n+1) in Z_m[x]/(f), in O(log n) ring
 squarings: mod m, or exactly with m so large that no reduction bites; and
 the explicit root formula evaluated in F_p or whichever extension of F_p
 the roots of x^3 - x^2 - x - 1 land in.  Both are judged against plain
-iteration, the oracle in the test suite.
+iteration, the oracle in the test suite.  The root formula runs in a
+small generic quotient ring F_p[x]/(m), m monic of degree 1..3, which
+carries its three ambient rings: the prime field, a quadratic extension
+and the full cubic extension.  A scan never imports this module.
 
 Indexing is fixed by T_0 = 0, T_1 = T_2 = 1, T_3 = 2.
 """
@@ -17,9 +20,7 @@ from .gfext import (
     DISCRIMINANT,
     F_COEFFS,
     RAMIFIED_PRIMES,
-    QuotientRing,
     RamifiedPrime,
-    RingElement,
     Shape,
     _cofactor_quadratic,
     _splitting_type,
@@ -33,6 +34,10 @@ EXACT_INDEX_LIMIT = 10**6
 
 class IndexOutOfRange(ValueError):
     """Index too large for exact evaluation; use trib_mod instead."""
+
+
+class ModulusMismatch(ValueError):
+    """Mixed operands from different moduli or rings."""
 
 
 def trib_exact(n: int) -> int:
@@ -64,6 +69,130 @@ def trib_mod(n: int, m: int) -> int:
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
     return _xpow(n + 1, m)[2]
+
+
+# -- generic quotient ring F_p[x]/(m), degree 1 to 3 --
+
+
+class QuotientRing:
+    """F_p[x]/(m) for a monic m of degree 1..3 given by its lower coefficients.
+
+    Degree 1 realizes F_p itself (elements are constants), degree 2 a
+    quadratic extension, degree 3 the cubic one.
+    """
+
+    __slots__ = ("p", "modulus", "degree")
+
+    def __init__(self, p: int, modulus: tuple[int, ...]):
+        if p < 2:
+            raise InvalidModulus(f"characteristic must be at least 2, got {p}")
+        if not 1 <= len(modulus) <= 3:
+            raise ValueError(f"modulus degree must be 1..3, got {len(modulus)}")
+        self.p = p
+        self.modulus = tuple(c % p for c in modulus)
+        self.degree = len(self.modulus)
+
+    def element(self, coeffs) -> "RingElement":
+        c = [v % self.p for v in coeffs]
+        if len(c) > self.degree:
+            raise ValueError(f"got {len(c)} coefficients for degree {self.degree}")
+        c += [0] * (self.degree - len(c))
+        return RingElement(self, tuple(c))
+
+    def const(self, c: int) -> "RingElement":
+        return self.element([c])
+
+    def gen(self) -> "RingElement":
+        """The image of x; in degree 1 that is the constant -m0."""
+        if self.degree == 1:
+            return self.const(-self.modulus[0])
+        return self.element([0, 1])
+
+    def same_as(self, other: "QuotientRing") -> bool:
+        return self.p == other.p and self.modulus == other.modulus
+
+    def __repr__(self) -> str:
+        return f"QuotientRing(p={self.p}, modulus={self.modulus})"
+
+
+class RingElement:
+    """An element of a QuotientRing; supports +, -, *, ** and equality."""
+
+    __slots__ = ("ring", "coeffs")
+
+    def __init__(self, ring: QuotientRing, coeffs: tuple[int, ...]):
+        self.ring = ring
+        self.coeffs = coeffs
+
+    def _check(self, other: "RingElement") -> None:
+        if self.ring is not other.ring and not self.ring.same_as(other.ring):
+            raise ModulusMismatch(f"elements of {self.ring} and {other.ring}")
+
+    def __add__(self, other: "RingElement") -> "RingElement":
+        self._check(other)
+        p = self.ring.p
+        return RingElement(
+            self.ring, tuple((x + y) % p for x, y in zip(self.coeffs, other.coeffs))
+        )
+
+    def __sub__(self, other: "RingElement") -> "RingElement":
+        self._check(other)
+        p = self.ring.p
+        return RingElement(
+            self.ring, tuple((x - y) % p for x, y in zip(self.coeffs, other.coeffs))
+        )
+
+    def __mul__(self, other: "RingElement") -> "RingElement":
+        self._check(other)
+        ring = self.ring
+        p, d, m = ring.p, ring.degree, ring.modulus
+        prod = [0] * (2 * d - 1)
+        for i, ai in enumerate(self.coeffs):
+            if ai:
+                for j, bj in enumerate(other.coeffs):
+                    prod[i + j] += ai * bj
+        # fold x^k for k >= d using x^d = -(m0 + m1 x + ...)
+        for k in range(2 * d - 2, d - 1, -1):
+            t = prod[k]
+            if t:
+                for i, mc in enumerate(m):
+                    prod[k - d + i] -= t * mc
+        return RingElement(ring, tuple(c % p for c in prod[:d]))
+
+    def __pow__(self, exp: int) -> "RingElement":
+        if exp < 0:
+            raise ValueError(f"exponent must be non-negative, got {exp}")
+        result = self.ring.const(1)
+        base = self
+        while exp:
+            if exp & 1:
+                result = result * base
+            exp >>= 1
+            if exp:
+                base = base * base
+        return result
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, RingElement)
+            and self.ring.same_as(other.ring)
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.ring.p, self.ring.modulus, self.coeffs))
+
+    @property
+    def is_constant(self) -> bool:
+        return not any(self.coeffs[1:])
+
+    def constant_value(self) -> int:
+        if not self.is_constant:
+            raise ArithmeticError(f"{self.coeffs} is not a prime-field constant")
+        return self.coeffs[0]
+
+    def __repr__(self) -> str:
+        return f"RingElement({self.coeffs} mod {self.ring.modulus}, p={self.ring.p})"
 
 
 class RootFormulaContext(NamedTuple):

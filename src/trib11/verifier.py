@@ -2,9 +2,11 @@
 
 For every prime p the scanner computes three facts: whether p divides
 T_{p-1}, whether p = x^2 + 11y^2, and how x^3 - x^2 - x - 1 factors mod
-p.  The first and third come from one power x^p in F_p[x]/(f)
-(`frobenius_power`); the second from Cornacchia, which shares nothing
-with that kernel.  Outside the two known exceptional primes 11 and 19 the
+p.  The first and third come from the power x^p in F_p[x]/(f), which a
+scan takes for each chunk's primes in batches that share one ladder and
+walk along the prime gaps (`gfext._frobenius_powers`; `verdict` is the
+batch of one); the second from Cornacchia, which shares nothing with
+that kernel.  Outside the two known exceptional primes 11 and 19 the
 first two must agree (and both must match the completely-split shape);
 any other disagreement flags the whole report as FAILED.
 
@@ -23,7 +25,7 @@ from collections import deque
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
-from .gfext import FrobeniusClass, Shape, _frobenius_power, _gcd_shape
+from .gfext import FrobeniusClass, Shape, _frobenius_power, _frobenius_powers, _gcd_shape
 from .modmath import MAX_MODULUS, PrimeLike, primes_in_range, require_prime
 from .quadform import _cornacchia
 
@@ -117,24 +119,24 @@ def _log(level: str, msg: str, *args) -> None:
 
 def verdict(p: PrimeLike) -> VerdictRecord:
     """Compute the full per-prime record for one prime."""
-    return _verdict(require_prime(p))
+    pv = require_prime(p)
+    return _record(pv, *_frobenius_power(pv))
 
 
-def _verdict(pv: int) -> VerdictRecord:
-    # pv is known to be prime (checked by verdict, or straight from the sieve)
-    xp, shape = _frobenius_power(pv)
+def _record(p: int, xp: tuple[int, int, int], shape: Shape) -> VerdictRecord:
+    # the record of the prime p, given x^p in F_p[x]/(f) and the shape of f mod p
     residue = xp[2]  # the x^2 coefficient of x^p is T_{p-1} mod p
     divisible = residue == 0
-    x, y = _cornacchia(pv)
+    x, y = _cornacchia(p)
     representable = x is not None
     consistent = divisible == representable
-    return VerdictRecord(pv, residue, divisible, representable, x, y,
+    return VerdictRecord(p, residue, divisible, representable, x, y,
                          shape, shape.frobenius_class, consistent, not consistent)
 
 
 def _chunk_verdicts(bounds: tuple[int, int]) -> list[VerdictRecord]:
     lo, hi = bounds
-    return [_verdict(p) for p in primes_in_range(lo, hi)]
+    return [_record(*row) for row in _frobenius_powers(primes_in_range(lo, hi))]
 
 
 def _chunk_classes(bounds: tuple[int, int]) -> list[tuple[int, FrobeniusClass, bool]]:
@@ -229,14 +231,15 @@ def obstruction_check(lo: int, hi: int, workers: int = 1) -> ObstructionReport:
     gcd classifier behind `splitting_type`, which reads the class from the
     degree of gcd(f, x^p - x) and looks for no roots, takes the residue
     from `trib_mod`, and runs no Cornacchia.  "Identity => p | T_{p-1}"
-    holds here by construction: `trib_mod` and the classifier share the
-    power ladder `_xpow`, and x^p = x leaves T_{p-1}, the x^2 coefficient,
-    at zero.
+    holds here by construction: `trib_mod` and the classifier each take
+    x^p from the per-prime ladder `_xpow`, and x^p = x leaves T_{p-1},
+    the x^2 coefficient, at zero.
     Independent coverage of the residue comes from acceptance criteria
     04 (`trib_via_roots`), 05 (`frobenius_reduction_check`) and 08
     (plain iteration).  Criterion 06 compares `checked` with a scan's
-    `class_counts`, that is the fused p mod 11 classifier of `verdict`
-    with the gcd classifier, over [2, 10^6).
+    `class_counts` over [2, 10^6): the scan's batched walk along the
+    prime gaps with its p mod 11 rule, against the per-prime ladder and
+    gcd here.
     """
     checked = {cls: 0 for cls in FrobeniusClass}
     failures: list[tuple[int, str]] = []

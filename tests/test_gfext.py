@@ -8,8 +8,6 @@ from trib11.gfext import (
     F_COEFFS,
     RAMIFIED_PRIMES,
     FrobeniusClass,
-    ModulusMismatch,
-    QuotientRing,
     RamifiedPrime,
     Shape,
     _xpow,
@@ -18,6 +16,7 @@ from trib11.gfext import (
     splitting_type,
 )
 from trib11.modmath import ModPrime, NotPrime, is_prime
+from trib11.tribonacci import ModulusMismatch, QuotientRing
 
 from oracles import f_eval, naive_root_multiplicity, naive_roots, sieve_list
 

@@ -2,19 +2,25 @@
 
 The power ladder against `QuotientRing`, `trib_mod` against iteration,
 the fused classifier against the other two and its p mod 11 rule against
-the Legendre symbol, the prime source against trial division and
+the Legendre symbol, the batched walk along the prime gaps against the
+per-prime ladder and gcd, the prime source against trial division and
 `is_prime`, `is_prime` above 2**32 against sympy's BPSW test, Cornacchia
 against the splitting shape, and `sqrt_mod` near the top of the domain.
 """
+
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from trib11.gfext import (
     F_COEFFS,
+    _BATCH_BITS,
     _SQUARES_MOD_11,
-    QuotientRing,
+    _TABLE_BITS,
     Shape,
+    _frobenius_powers,
+    _gcd_shape,
     _xpow,
     frobenius_orbit,
     frobenius_power,
@@ -22,7 +28,7 @@ from trib11.gfext import (
 )
 from trib11.modmath import MAX_MODULUS, ModPrime, is_prime, jacobi, primes_in_range, sqrt_mod
 from trib11.quadform import represent
-from trib11.tribonacci import trib_mod
+from trib11.tribonacci import QuotientRing, trib_mod
 
 from oracles import trial_primes, trib_list_mod
 
@@ -88,6 +94,48 @@ def test_fused_classifier_matches_gcd_and_orbit(p):
     assert shape is splitting_type(ModPrime(p)).shape
     if p != 11:
         assert shape is _ORBIT_SHAPE[frobenius_orbit(ModPrime(p))]
+
+
+def _spread_primes(start_and_gaps):
+    # ascending primes, each the first prime at least a drawn gap above the one
+    # before, so that consecutive ones lie at least that far apart
+    start, gaps = start_and_gaps
+    ps = [_next_prime(start)]
+    for g in gaps:
+        if ps[-1] + g > 2**63 - 25:
+            break
+        ps.append(_next_prime(ps[-1] + g))
+    return ps
+
+
+# ascending prime lists of three kinds: consecutive primes of a window (one
+# starting at 2, so 2 and 11 are in it); primes at least 2**_TABLE_BITS apart,
+# whose gap powers come from the ladder mod m and not from the table; and
+# primes of mixed sizes whose product crosses _BATCH_BITS
+prime_lists = st.one_of(
+    st.just(list(primes_in_range(2, 600))),
+    st.integers(2, MAX_MODULUS - 600).map(lambda lo: list(primes_in_range(lo, lo + 600))),
+    st.tuples(
+        st.integers(2, 2**63 - 2**45),
+        st.lists(st.integers(2**_TABLE_BITS, 2**40), min_size=1, max_size=8),
+    ).map(_spread_primes),
+    st.lists(
+        st.one_of(st.integers(3, 10**4), st.integers(3, 2**63 - 25)).map(_next_prime),
+        min_size=2, max_size=12, unique=True,
+    )
+    .map(sorted)
+    .filter(lambda ps: math.prod(ps).bit_length() >= _BATCH_BITS),
+)
+
+
+@reproducible
+@given(ps=prime_lists)
+def test_frobenius_powers_walk_matches_per_prime_ladder(ps):
+    rows = list(_frobenius_powers(iter(ps)))
+    assert [q for q, _, _ in rows] == ps
+    for q, xp, shape in rows:
+        assert xp == _xpow(q, q), q
+        assert shape is _gcd_shape(q)[0], q
 
 
 _WIDTH = 2000

@@ -12,6 +12,7 @@ from trib11.verifier import (
     obstruction_check,
     scan,
     verdict,
+    verdicts,
 )
 
 from oracles import naive_root_multiplicity, naive_roots, sieve_list, trib_list_mod
@@ -81,9 +82,16 @@ def _oracle_shape(p):
 
 
 def test_verdict_matches_independent_oracles_below_5000():
-    """Residue, shape and representation of the fused verdict, against brute force."""
-    for p in sieve_list(5000):
-        rec = verdict(p)
+    """Residue, shape and representation of the fused verdict, against brute force.
+
+    Both per prime (`verdict`, a batch of one) and as a scan makes them
+    (`verdicts`, whose batches walk along the prime gaps).
+    """
+    one_by_one = [verdict(p) for p in sieve_list(5000)]
+    batched = list(verdicts(2, 5000))
+    assert [rec.p for rec in batched] == sieve_list(5000)
+    for rec in one_by_one + batched:
+        p = rec.p
         assert rec.trib_residue == trib_list_mod(p, p)[p - 1], p
         assert rec.splitting is _oracle_shape(p), p
         rep = represent_bruteforce(p)
