@@ -22,6 +22,7 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
+from functools import partial
 from typing import Iterable
 
 from . import verifier
@@ -67,19 +68,45 @@ def _jsonl_obj(rec: VerdictRecord) -> str:
     )
 
 
+def _table_line(cells: Iterable[str]) -> str:
+    return "  ".join(c.ljust(w) for c, w in zip(cells, _TABLE_WIDTHS)).rstrip()
+
+
+def _table_row(rec: VerdictRecord) -> str:
+    return _table_line(_row(rec))
+
+
+#: each --format: its header line (None for none) and the function that renders a record
+_FORMATS = {
+    "table": (_table_line(CSV_COLUMNS), _table_row),
+    "csv": (",".join(CSV_COLUMNS), _csv_line),
+    "jsonl": (None, _jsonl_obj),
+}
+
+
+def _format(fmt: str):
+    # the (header, line function) of fmt; ValueError for an unknown one
+    try:
+        return _FORMATS[fmt]
+    except KeyError:
+        raise ValueError(f"unknown format {fmt!r}") from None
+
+
 def record_lines(records: Iterable[VerdictRecord], fmt: str) -> Iterable[str]:
     """Render records in the given format, one line at a time (no newlines)."""
-    if fmt == "csv":
-        yield ",".join(CSV_COLUMNS)
-        yield from map(_csv_line, records)
-    elif fmt == "jsonl":
-        yield from map(_jsonl_obj, records)
-    elif fmt == "table":
-        yield "  ".join(c.ljust(w) for c, w in zip(CSV_COLUMNS, _TABLE_WIDTHS)).rstrip()
-        for rec in records:
-            yield "  ".join(c.ljust(w) for c, w in zip(_row(rec), _TABLE_WIDTHS)).rstrip()
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    header, line = _format(fmt)
+    if header is not None:
+        yield header
+    yield from map(line, records)
+
+
+def _scan_chunk(fmt: str, bounds: tuple[int, int]) -> verifier._Chunk:
+    # one chunk of `trib11 scan --format FMT`: its lines, each ended by a newline,
+    # as UTF-8 bytes, with its class counts and violations.  Module-level and
+    # bound to fmt by functools.partial, so that a pool pickles it by reference.
+    chunk = verifier._chunk(_format(fmt)[1], bounds)
+    chunk.rows = "\n".join([*chunk.rows, ""]).encode()
+    return chunk
 
 
 def summary_line(report: ScanReport) -> str:
@@ -97,9 +124,15 @@ def cmd_verdict(p: int) -> int:
 def cmd_scan(start: int, stop: int, workers: int, fmt: str, out: str | None) -> int:
     """Scan all primes in [FROM, TO) and report equivalence violations."""
     report = ScanReport(start, stop)
-    records = report.tally(verifier.verdicts(start, stop, workers))
-    with open(out, "w", encoding="utf-8") if out is not None else nullcontext(sys.stdout) as fh:
-        fh.writelines(f"{line}\n" for line in record_lines(records, fmt))
+    header = _format(fmt)[0]
+    chunks = verifier._map_chunks(partial(_scan_chunk, fmt), start, stop, workers)
+    with open(out, "wb") if out is not None else nullcontext(sys.stdout.buffer) as fh:
+        if header is not None:
+            fh.write(f"{header}\n".encode())
+        for chunk in chunks:
+            fh.write(chunk.rows)
+            report.add(chunk)
+    report.log_summary()
     print(summary_line(report))
     return 0 if report.status == "OK" else 2
 
@@ -178,7 +211,7 @@ def _parser() -> argparse.ArgumentParser:
     scan.add_argument("--to", dest="stop", type=int, required=True, metavar="TO",
                       help="Range end (exclusive).")
     scan.add_argument("--workers", type=int, default=1, help="Parallel workers (default: 1).")
-    scan.add_argument("--format", dest="fmt", choices=("table", "csv", "jsonl"), default="table",
+    scan.add_argument("--format", dest="fmt", choices=tuple(_FORMATS), default="table",
                       help="Record output format (default: table).")
     scan.add_argument("--out", metavar="FILE",
                       help="Write records to this file instead of stdout.")

@@ -13,8 +13,8 @@ any other disagreement flags the whole report as FAILED.
 Scans are deterministic regardless of worker count: the range is cut
 into fixed chunks, each chunk is processed by pure functions, and the
 results are merged back in ascending order.  They stream: chunks are
-computed as their records are consumed, so any range of the domain runs
-in bounded memory.
+computed as they are consumed, so any range of the domain runs in
+bounded memory.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from __future__ import annotations
 import os
 import sys
 from collections import deque
-from itertools import islice
+from functools import partial
+from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .gfext import FrobeniusClass, Shape, _frobenius_power, _frobenius_powers, _gcd_shape
@@ -58,8 +59,31 @@ class VerdictRecord(NamedTuple):
     exceptional: bool
 
 
+class _Chunk:
+    """One chunk of a scan: its rows, in order, with its class counts and violations.
+
+    The rows are the chunk's records, or the CLI's rendered lines, which
+    it joins into one UTF-8 bytes object before the chunk leaves its worker.
+    """
+
+    __slots__ = ("rows", "class_counts", "violations")
+
+    def __init__(self, rows, class_counts: dict[FrobeniusClass, int],
+                 violations: list[int]) -> None:
+        self.rows = rows
+        self.class_counts = class_counts
+        self.violations = violations
+
+    def __len__(self) -> int:
+        # the chunk's primes, which the debug log counts
+        return sum(self.class_counts.values())
+
+
 class ScanReport:
-    """Counts over the verdicts of [lo, hi); `records` is kept only by `scan`."""
+    """Counts over the verdicts of [lo, hi), summed chunk by chunk.
+
+    `records` is kept only by `scan`.
+    """
 
     __slots__ = ("lo", "hi", "records", "class_counts", "violations")
 
@@ -84,13 +108,14 @@ class ScanReport:
         """"OK" when the violations stay inside the known exceptions, else "FAILED"."""
         return "OK" if KNOWN_EXCEPTIONS.issuperset(self.violations) else "FAILED"
 
-    def tally(self, records: Iterable[VerdictRecord]) -> Iterator[VerdictRecord]:
-        """Pass `records` through, counting each; log the summary when they end."""
-        for rec in records:
-            self.class_counts[rec.frobenius] += 1
-            if rec.exceptional:
-                self.violations.append(rec.p)
-            yield rec
+    def add(self, chunk: _Chunk) -> None:
+        """Add a chunk's class counts and violations to the report's."""
+        for cls, n in chunk.class_counts.items():
+            self.class_counts[cls] += n
+        self.violations += chunk.violations
+
+    def log_summary(self) -> None:
+        """Log the report's one-line summary at INFO."""
         _log("info", "scan [%d, %d): %d primes, violations %s, status %s",
              self.lo, self.hi, self.n_primes, self.violations, self.status)
 
@@ -134,9 +159,25 @@ def _record(p: int, xp: tuple[int, int, int], shape: Shape) -> VerdictRecord:
                          shape, shape.frobenius_class, consistent, not consistent)
 
 
-def _chunk_verdicts(bounds: tuple[int, int]) -> list[VerdictRecord]:
+def _chunk(row, bounds: tuple[int, int]) -> _Chunk:
+    # row(record) for each prime of the chunk, ascending, with the chunk's class
+    # counts and violations: the one place a scan counts them
     lo, hi = bounds
-    return [_record(*row) for row in _frobenius_powers(primes_in_range(lo, hi))]
+    rows = []
+    class_counts = dict.fromkeys(FrobeniusClass, 0)
+    violations = []
+    for p, xp, shape in _frobenius_powers(primes_in_range(lo, hi)):
+        rec = _record(p, xp, shape)
+        class_counts[rec.frobenius] += 1
+        if rec.exceptional:
+            violations.append(p)
+        rows.append(row(rec))
+    return _Chunk(rows, class_counts, violations)
+
+
+def _itself(rec: VerdictRecord) -> VerdictRecord:
+    # the row of a chunk that keeps its records
+    return rec
 
 
 def _chunk_classes(bounds: tuple[int, int]) -> list[tuple[int, FrobeniusClass, bool]]:
@@ -152,11 +193,11 @@ def _chunk_classes(bounds: tuple[int, int]) -> list[tuple[int, FrobeniusClass, b
 
 
 def _map_chunks(chunk_fn, lo: int, hi: int, workers: int) -> Iterator:
-    """chunk_fn over the fixed chunks of [lo, hi), per-prime results streamed in order.
+    """chunk_fn over the fixed chunks of [lo, hi), its results streamed in order.
 
     The range and the worker count are checked at once, before any chunk
     is computed or any pool exists, and at most one worker per chunk and
-    per CPU is started.
+    per CPU is started.  A result's len() is its chunk's count of primes.
     """
     if not 2 <= lo <= hi <= MAX_MODULUS:
         raise ValueError(f"need 2 <= lo <= hi <= 2**63, got [{lo}, {hi})")
@@ -166,7 +207,7 @@ def _map_chunks(chunk_fn, lo: int, hi: int, workers: int) -> Iterator:
     workers = min(workers, len(starts), _usable_cpus())
     bounds = ((c, min(c + _CHUNK, hi)) for c in starts)
     parts = map(chunk_fn, bounds) if workers <= 1 else _pooled(chunk_fn, bounds, workers)
-    return _flatten(parts, len(starts))
+    return _counted(parts, len(starts))
 
 
 def _usable_cpus() -> int:
@@ -178,7 +219,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pooled(chunk_fn, bounds: Iterator[tuple[int, int]], workers: int) -> Iterator[list]:
+def _pooled(chunk_fn, bounds: Iterator[tuple[int, int]], workers: int) -> Iterator:
     # in order, with at most _IN_FLIGHT chunks per worker submitted and not yet consumed;
     # concurrent.futures, and multiprocessing with it, is imported only here
     from concurrent.futures import ProcessPoolExecutor
@@ -191,12 +232,12 @@ def _pooled(chunk_fn, bounds: Iterator[tuple[int, int]], workers: int) -> Iterat
             yield part
 
 
-def _flatten(parts: Iterable[list], n_chunks: int) -> Iterator:
+def _counted(parts: Iterable, n_chunks: int) -> Iterator:
     n = 0
     for i, part in enumerate(parts, 1):
         n += len(part)
         _log("debug", "chunk %d/%d done (%d primes so far)", i, n_chunks, n)
-        yield from part
+        yield part
 
 
 def verdicts(lo: int, hi: int, workers: int = 1) -> Iterator[VerdictRecord]:
@@ -205,7 +246,8 @@ def verdicts(lo: int, hi: int, workers: int = 1) -> Iterator[VerdictRecord]:
     The range and `workers` (at least 1) are checked when this is called;
     a bad one raises ValueError.
     """
-    return _map_chunks(_chunk_verdicts, lo, hi, workers)
+    return (rec for chunk in _map_chunks(partial(_chunk, _itself), lo, hi, workers)
+            for rec in chunk.rows)
 
 
 def scan(lo: int, hi: int, workers: int = 1) -> ScanReport:
@@ -216,7 +258,10 @@ def scan(lo: int, hi: int, workers: int = 1) -> ScanReport:
     and are reported, not suppressed.
     """
     report = ScanReport(lo, hi)
-    report.records.extend(report.tally(verdicts(lo, hi, workers)))
+    for chunk in _map_chunks(partial(_chunk, _itself), lo, hi, workers):
+        report.add(chunk)
+        report.records += chunk.rows
+    report.log_summary()
     return report
 
 
@@ -243,7 +288,7 @@ def obstruction_check(lo: int, hi: int, workers: int = 1) -> ObstructionReport:
     """
     checked = {cls: 0 for cls in FrobeniusClass}
     failures: list[tuple[int, str]] = []
-    for p, cls, divisible in _map_chunks(_chunk_classes, lo, hi, workers):
+    for p, cls, divisible in chain.from_iterable(_map_chunks(_chunk_classes, lo, hi, workers)):
         checked[cls] += 1
         if cls is FrobeniusClass.IDENTITY:
             if not divisible:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from trib11.cli import record_lines, summary_line
+from trib11.cli import main, record_lines, summary_line
 from trib11.gfext import FrobeniusClass, Shape, splitting_type
 from trib11.modmath import ModPrime, is_prime, jacobi, primes_in_range, sqrt_mod
 from trib11.quadform import represent, represent_bruteforce
@@ -25,7 +25,7 @@ from trib11.tribonacci import (
     trib_mod,
     trib_via_roots,
 )
-from trib11.verifier import ScanReport, obstruction_check, scan, verdicts
+from trib11.verifier import ScanReport, obstruction_check, scan
 
 from oracles import sieve_list, trial_isprime, trib_list_exact
 
@@ -184,13 +184,26 @@ def test_scan_stdout_matches_the_benchmark_pins(million_scan):
     assert _stdout_sha256(million_scan.records, million_scan, "csv") == dense["sha256"]
     window = pins["window_1e9_w2"]
     assert window["format"] == "jsonl"
-    report = ScanReport(window["from"], window["to"])
-    records = report.tally(verdicts(window["from"], window["to"], workers=2))
-    assert _stdout_sha256(records, report, "jsonl") == window["sha256"]
+    report = scan(window["from"], window["to"], workers=2)
+    assert _stdout_sha256(report.records, report, "jsonl") == window["sha256"]
     # the only pin above 2**40, where is_prime finishes the sieve's survivors and
     # Cornacchia runs on 54-bit primes
     high = pins["window_1e16"]
     assert high["format"] == "csv"
-    report = ScanReport(high["from"], high["to"])
-    records = report.tally(verdicts(high["from"], high["to"]))
-    assert _stdout_sha256(records, report, "csv") == high["sha256"]
+    report = scan(high["from"], high["to"])
+    assert _stdout_sha256(report.records, report, "csv") == high["sha256"]
+
+
+@pytest.mark.parametrize(
+    "name, workers", [("dense_1e6", 1), ("window_1e9_w2", 2), ("window_1e16", 1)]
+)
+def test_cli_stdout_matches_the_benchmark_pins(name, workers, tmp_path, capsys):
+    # the CLI renders chunk by chunk, not through record_lines: its own bytes, the
+    # records in --out and the summary on stdout, with the workload's worker count
+    pin = json.loads(PINNED.read_text())[name]
+    path = tmp_path / "out"
+    rc = main(["scan", "--from", str(pin["from"]), "--to", str(pin["to"]),
+               "--format", pin["format"], "--workers", str(workers), "--out", str(path)])
+    summary = capsys.readouterr().out
+    assert rc == 0
+    assert hashlib.sha256(path.read_bytes() + summary.encode()).hexdigest() == pin["sha256"]

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import pickle
 import resource
 import signal
 import subprocess
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import trib11
-from trib11.cli import _csv_line, _jsonl_obj, _row, main, record_lines, summary_line
+from trib11.cli import _csv_line, _jsonl_obj, _row, _scan_chunk, main, record_lines, summary_line
 from trib11.modmath import MAX_MODULUS, is_prime
 from trib11.verifier import _usable_cpus, scan, verdict
 
@@ -232,6 +233,24 @@ def test_scan_empty(capsys):
     rc, out, _ = run(capsys, "scan", "--from", "2", "--to", "2", "--format", "csv")
     assert rc == 0
     assert out.strip().splitlines()[-1] == "violations: []"
+    # one chunk that holds no prime writes no line
+    assert run(capsys, "scan", "--from", "24", "--to", "29", "--format", "csv") == (
+        0, f"{CSV_HEADER}\nviolations: []\n", ""
+    )
+    assert run(capsys, "scan", "--from", "24", "--to", "29", "--format", "jsonl") == (
+        0, "violations: []\n", ""
+    )
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "jsonl"])
+def test_a_scan_chunk_comes_back_rendered(fmt):
+    # what a worker sends the CLI: the chunk's lines as bytes, its counts and violations
+    report = scan(2, 20000)
+    chunk = _scan_chunk(fmt, (2, 20000))
+    lines = list(record_lines(report.records, fmt))[fmt != "jsonl":]  # no header
+    assert chunk.rows == "".join(f"{line}\n" for line in lines).encode()
+    assert (chunk.class_counts, chunk.violations) == (report.class_counts, [11, 19])
+    assert b"VerdictRecord" not in pickle.dumps(chunk)
 
 
 def test_scan_usage_errors(capsys):
@@ -462,11 +481,12 @@ def test_closed_stdout_ends_the_scan_quietly():
 
 
 def test_closed_stdout_is_an_exit_code_not_an_exception(monkeypatch, capsys):
-    class ClosedPipe(io.StringIO):
-        def write(self, s):
+    class ClosedPipe(io.BytesIO):
+        def write(self, b):
             raise BrokenPipeError(32, "Broken pipe")
 
-    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    # a text stdout over a closed pipe; a scan writes its records to the bytes underneath
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(ClosedPipe(), write_through=True))
     assert main(["scan", "--to", "100", "--format", "csv"]) == 1
     assert capsys.readouterr().err == ""
 
@@ -496,11 +516,17 @@ def test_info_log_summarises_the_scan(monkeypatch):
     assert summary in proc.stderr.splitlines()
 
 
-def test_debug_log_reports_each_chunk(monkeypatch):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_debug_log_reports_each_chunk(monkeypatch, workers):
     monkeypatch.setenv("TRIB_LOG", "debug")
-    proc = run_capped("-m", "trib11", "scan", "--to", "100")
+    proc = run_capped("-m", "trib11", "scan", "--to", "70000", "--workers", workers)
     assert proc.returncode == 0, proc.stderr
-    assert "trib11.verifier: chunk 1/1 done (25 primes so far)" in proc.stderr.splitlines()
+    ends = (2 + (1 << 15), 2 + (2 << 15), 70000)  # three chunks of 2**15 numbers, the last short
+    chunk_lines = [
+        f"trib11.verifier: chunk {i}/3 done ({len(sieve_list(end))} primes so far)"
+        for i, end in enumerate(ends, 1)
+    ]
+    assert [l for l in proc.stderr.splitlines() if " chunk " in l] == chunk_lines
 
 
 def test_range_beyond_domain_is_refused_at_once():
