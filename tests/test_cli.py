@@ -527,6 +527,9 @@ def test_debug_log_reports_each_chunk(monkeypatch, workers):
         for i, end in enumerate(ends, 1)
     ]
     assert [l for l in proc.stderr.splitlines() if " chunk " in l] == chunk_lines
+    n = len(sieve_list(70000))
+    summary = f"trib11.verifier: scan [2, 70000): {n} primes, violations [11, 19], status OK"
+    assert summary in proc.stderr.splitlines()  # debug shows the info summary too
 
 
 def test_range_beyond_domain_is_refused_at_once():
