@@ -29,6 +29,9 @@ class Representation(NamedTuple):
 #: the one "no representation" value, shared by every prime that has none
 _NONE = Representation(None, None)
 
+#: represent_bruteforce refuses n above this; it walks y up to sqrt(n/11)
+BRUTEFORCE_MAX = 10**12
+
 
 def represent(p: PrimeLike) -> Representation:
     """Canonical representation of the prime p by x^2 + 11*y^2, if any.
@@ -63,13 +66,17 @@ def _cornacchia(p: int) -> Representation:
 
 
 def represent_bruteforce(n: int) -> Representation:
-    """Exhaustive scan over y; works for any n >= 1, prime or not.
+    """Exhaustive scan over y; works for any 1 <= n <= 10**12, prime or not.
 
     Returns the hit with the smallest y (for primes there is at most one
-    hit, which the tests confirm empirically).
+    hit, which the tests confirm empirically).  Past BRUTEFORCE_MAX the walk
+    of about sqrt(n/11) steps would not finish in predictable time, so such
+    an n raises ValueError.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if n > BRUTEFORCE_MAX:
+        raise ValueError(f"exhaustive search capped at n = {BRUTEFORCE_MAX}, got {n}")
     y = 0
     while FORM_D * y * y <= n:
         rest = n - FORM_D * y * y

@@ -9,6 +9,7 @@ import pytest
 from trib11 import modmath
 from trib11.modmath import (
     _MR_TIERS,
+    _bpsw,
     MAX_MODULUS,
     InvalidModulus,
     ModPrime,
@@ -190,16 +191,20 @@ def test_is_prime_matches_trial_division():
         assert is_prime(n) == trial_isprime(n), n
 
 
+# composites engineered to fool small witness sets; all but the first pass the
+# strong base-2 test
+STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 3825123056546413051,
+                       341550071728321, 318665857834031151167461)
+
+
 def test_is_prime_strong_pseudoprimes():
-    # composites engineered to fool small witness sets
-    for n in (2047, 1373653, 25326001, 3215031751, 3825123056546413051,
-              341550071728321, 318665857834031151167461):
+    for n in STRONG_PSEUDOPRIMES:
         if n < 2**64:
             assert not is_prime(n), n
     assert not is_prime(2**64 - 1)
 
 
-def test_is_prime_rejects_chernick_carmichael_numbers():
+def _chernick_numbers() -> list[int]:
     # (6k+1)(12k+1)(18k+1) with three prime factors is a Carmichael number: every
     # base prime to it is a Fermat liar, and only the square roots of 1 expose it
     k_max = round((2**64 / 1296) ** (1 / 3)) + 1
@@ -209,9 +214,64 @@ def test_is_prime_rejects_chernick_carmichael_numbers():
         for k in range(1, k_max + 1)
         if {6 * k + 1, 12 * k + 1, 18 * k + 1} <= prime
     ]
-    chernick = [n for n in chernick if n < 2**64]
+    return [n for n in chernick if n < 2**64]
+
+
+def test_is_prime_rejects_chernick_carmichael_numbers():
+    chernick = _chernick_numbers()
     assert chernick[:3] == [1729, 294409, 56052361] and max(chernick) > 2**63
     assert [n for n in chernick if is_prime(n)] == []
+
+
+def _strong_base_2(n: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(2, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+
+def test_bpsw_finds_the_primes_at_the_top_of_the_domain():
+    assert _bpsw(P63)
+    assert _bpsw(18446744073709551557)  # largest prime below 2**64
+
+
+def test_bpsw_lucas_step_rejects_base_2_strong_pseudoprimes():
+    # each passes the strong base-2 test, so the Lucas step has to reject it
+    above = [n for n in STRONG_PSEUDOPRIMES if 2**40 < n < 2**64]
+    assert above == [3825123056546413051, 341550071728321]
+    assert all(map(_strong_base_2, above))
+    assert [n for n in above if _bpsw(n)] == []
+
+
+def test_bpsw_rejects_chernick_carmichael_numbers_above_2_40():
+    chernick = [n for n in _chernick_numbers() if n > 2**40]
+    assert len(chernick) > 10 and any(map(_strong_base_2, chernick))
+    assert [n for n in chernick if _bpsw(n)] == []
+
+
+def test_bpsw_square_check_ends_the_parameter_search():
+    # 1093 and 3511 are Wieferich primes, so their squares are base-2 strong
+    # pseudoprimes; (D | n) is never -1 for a square n, so without the square
+    # check the search for P would not end, and the call runs in a child process
+    # where a hang fails the test at the timeout
+    assert _strong_base_2(1093**2) and _strong_base_2(3511**2)
+    code = (
+        "from trib11.modmath import _bpsw\n"
+        "print(_bpsw(1093**2), _bpsw(3511**2))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(modmath.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False False\n"), proc.stderr
+
+
+def test_bpsw_rejects_the_extra_strong_lucas_pseudoprimes_below_10_5():
+    # the composites that pass the Lucas step alone all fail the base-2 step
+    lucas = pytest.importorskip("sympy.ntheory.primetest").is_extra_strong_lucas_prp
+    liars = [n for n in range(3, 10**5, 2) if lucas(n) and not trial_isprime(n)]
+    assert liars[:4] == [989, 3239, 5777, 10877] and len(liars) == 12
+    assert [n for n in liars if _bpsw(n)] == []
 
 
 def test_witness_tiers_never_meet_a_base_divisible_by_n():
@@ -260,15 +320,30 @@ def test_primes_in_range_matches_is_prime_filter():
         assert list(primes_in_range(lo, hi)) == [n for n in range(lo, hi) if is_prime(n)]
 
 
+def _refuse(name):
+    def refuse(n):
+        raise AssertionError(f"{name}({n}) called")
+
+    return refuse
+
+
 @pytest.mark.parametrize("lo, count", [(10**9, 4832), (10**12, 3614)])
 def test_primes_below_2_40_are_certified_by_the_sieve(lo, count, monkeypatch):
-    # below 2**40 the sieve walks every prime up to sqrt(hi) and never asks
-    # is_prime, which would cost 7 witnesses a prime
-    def refuse(n):
-        raise AssertionError(f"is_prime({n}) called")
-
-    monkeypatch.setattr(modmath, "is_prime", refuse)
+    # below 2**40 the sieve walks every prime up to sqrt(hi) and asks no test
+    # of its survivors
+    monkeypatch.setattr(modmath, "is_prime", _refuse("is_prime"))
+    monkeypatch.setattr(modmath, "_bpsw", _refuse("_bpsw"))
     assert sum(1 for _ in primes_in_range(lo, lo + 10**5)) == count
+
+
+@pytest.mark.parametrize("lo", [10**16, 2**63 - 10**4])
+def test_the_sieve_never_grades_itself_above_2_40(lo, monkeypatch):
+    # above 2**40 BPSW finishes the survivors; is_prime is the judge, so the
+    # sieve must never call it
+    hi = lo + 10**4
+    expected = [n for n in range(lo, hi) if is_prime(n)]
+    monkeypatch.setattr(modmath, "is_prime", _refuse("is_prime"))
+    assert list(primes_in_range(lo, hi)) == expected
 
 
 def test_primes_in_range_validates():

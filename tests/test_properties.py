@@ -4,8 +4,10 @@ The power ladder against `QuotientRing`, `trib_mod` against iteration,
 the fused classifier against the other two and its p mod 11 rule against
 the Legendre symbol, the batched walk along the prime gaps against the
 per-prime ladder and gcd, the prime source against trial division and
-`is_prime`, `is_prime` above 2**32 against sympy's BPSW test, Cornacchia
-against the splitting shape, and `sqrt_mod` near the top of the domain.
+`is_prime`, `is_prime` above 2**32 against sympy's BPSW test, the sieve's
+own BPSW on its survivors above 2**40 against `is_prime` and sympy,
+Cornacchia against the splitting shape, and `sqrt_mod` near the top of the
+domain.
 """
 
 import math
@@ -26,7 +28,15 @@ from trib11.gfext import (
     frobenius_power,
     splitting_type,
 )
-from trib11.modmath import MAX_MODULUS, ModPrime, is_prime, jacobi, primes_in_range, sqrt_mod
+from trib11.modmath import (
+    MAX_MODULUS,
+    ModPrime,
+    _bpsw,
+    is_prime,
+    jacobi,
+    primes_in_range,
+    sqrt_mod,
+)
 from trib11.quadform import represent
 from trib11.tribonacci import QuotientRing, trib_mod
 
@@ -185,6 +195,33 @@ def test_is_prime_matches_bpsw_above_2_32(n):
     # sympy.isprime is no judge here: below 2**64 it runs the same 7 bases
     bpsw = pytest.importorskip("sympy.ntheory.primetest").is_strong_bpsw_prp
     assert is_prime(n) == bpsw(n)
+
+
+# the product of the primes below 2**16, which the sieve strikes out above 2**40
+_STRUCK = math.prod(trial_primes(2, 2**16))
+
+
+def _next_survivor(n: int) -> int:
+    n |= 1
+    while math.gcd(n, _STRUCK) != 1:
+        n += 2
+    return n
+
+
+# the sieve's survivors above 2**40: no prime factor below 2**16.  Semiprime
+# draws have both factors above 2**16 already, and stay semiprimes
+survivors_above_2_40 = (
+    above_2_32.filter(lambda n: n > 2**40).map(_next_survivor).filter(lambda n: n < 2**64)
+)
+
+
+@reproducible
+@given(n=survivors_above_2_40)
+def test_bpsw_matches_is_prime_and_sympy_on_sieve_survivors(n):
+    primetest = pytest.importorskip("sympy.ntheory.primetest")
+    assert _bpsw(n) == is_prime(n) == primetest.is_strong_bpsw_prp(n)
+    # the Lucas step is sympy's extra strong test: P from 3 up, Q = 1
+    assert _bpsw(n) == (primetest.mr(n, [2]) and primetest.is_extra_strong_lucas_prp(n))
 
 
 @reproducible

@@ -3,7 +3,7 @@ import pytest
 from trib11.gfext import Shape, splitting_type
 from trib11.modmath import ModPrime, NotPrime, jacobi
 from trib11 import quadform
-from trib11.quadform import Representation, represent, represent_bruteforce
+from trib11.quadform import BRUTEFORCE_MAX, Representation, represent, represent_bruteforce
 
 from oracles import brute_rep_hits, sieve_list
 
@@ -44,6 +44,15 @@ def test_bruteforce_values():
     assert represent_bruteforce(44) == Representation(0, 2)
     with pytest.raises(ValueError):
         represent_bruteforce(0)
+
+
+def test_bruteforce_refuses_n_past_its_bound():
+    # about sqrt(n/11) steps: 3 * 10**5 at the bound, 6.5 * 10**8 near 2**62
+    assert BRUTEFORCE_MAX >= 10**10  # the benchmark gate's own limit
+    assert represent_bruteforce(BRUTEFORCE_MAX) == Representation(10**6, 0)
+    for n in (BRUTEFORCE_MAX + 1, 2**62):
+        with pytest.raises(ValueError, match="capped"):
+            represent_bruteforce(n)
 
 
 def test_representation_solves_the_form():
