@@ -188,7 +188,9 @@ def _bpsw(n: int) -> bool:
     # Baillie-PSW for an odd n with no prime factor below 2**16 (a sieve
     # survivor above 2**40): a strong base-2 test, then the extra strong Lucas
     # test with Q = 1 (Grantham 2001).  No composite below 2**64 passes both
-    # (Baillie, Fiori and Wagstaff, Math. Comp. 2021).
+    # (Baillie, Fiori and Wagstaff, Math. Comp. 2021).  The base-2 step
+    # repeats is_prime's witness loop rather than share it: is_prime judges
+    # this test, so the two share no code.
     d = n - 1
     s = (d & -d).bit_length() - 1
     x = pow(2, d >> s, n)
@@ -199,7 +201,8 @@ def _bpsw(n: int) -> bool:
                 break
         else:
             return False
-    # a square, like the base-2 strong pseudoprime 1093**2, has no P below
+    # a square n, such as the base-2 strong pseudoprime 1093**2, has no P
+    # below, and the search for one would never end
     r = isqrt(n)
     if r * r == n:
         return False
@@ -210,14 +213,16 @@ def _bpsw(n: int) -> bool:
     d = n + 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    # V_k, V_{k+1} up the bits of d: V_2k = V_k**2 - 2, V_2k+1 = V_k*V_k+1 - P
+    # (v, w) = (V(k), V(k+1)) up the bits of d, from k = 1:
+    # V(2k) = V(k)**2 - 2 and V(2k+1) = V(k)*V(k+1) - P
     v, w = p, p * p - 2
     for bit in bin(d)[3:]:
         if bit == "1":
             v, w = (v * w - p) % n, (w * w - 2) % n
         else:
             v, w = (v * v - 2) % n, (v * w - p) % n
-    # U_d = 0 reads as 2*V_d+1 - P*V_d = 0, as D*U_k = 2*V_k+1 - P*V_k
+    # U(d) = 0 reads as 2*V(d+1) - P*V(d) = 0, since D*U(k) = 2*V(k+1) - P*V(k)
+    # and D is prime to n; then V(d) = +-2, or V(d * 2**r) = 0 for an r < s - 1
     if (v == 2 or v == n - 2) and (2 * w - p * v) % n == 0:
         return True
     for _ in range(s - 1):

@@ -66,7 +66,7 @@ def _cornacchia(p: int) -> Representation:
 
 
 def represent_bruteforce(n: int) -> Representation:
-    """Exhaustive scan over y; works for any 1 <= n <= 10**12, prime or not.
+    """Exhaustive scan over y; works for any 1 <= n <= BRUTEFORCE_MAX, prime or not.
 
     Returns the hit with the smallest y (for primes there is at most one
     hit, which the tests confirm empirically).  Past BRUTEFORCE_MAX the walk

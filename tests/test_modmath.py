@@ -191,7 +191,7 @@ def test_is_prime_matches_trial_division():
         assert is_prime(n) == trial_isprime(n), n
 
 
-# composites engineered to fool small witness sets; all but the first pass the
+# composites engineered to fool small witness sets; each below 2**64 passes the
 # strong base-2 test
 STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 3825123056546413051,
                        341550071728321, 318665857834031151167461)
