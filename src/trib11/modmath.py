@@ -1,7 +1,7 @@
 """Modular arithmetic over machine-scale moduli.
 
 Primitives (Jacobi symbol, square roots), exact primality testing, and a
-segmented prime stream.  Above 2**40 the stream finishes its sieve
+segmented prime stream.  Above 2**38 the stream finishes its sieve
 survivors with a Baillie-PSW test; the 7-base Miller-Rabin `is_prime`, a
 route the stream never takes, stays the public test and the judge of it.
 Residues are plain ints kept canonical in [0, p); moduli are bounded by
@@ -186,7 +186,7 @@ def is_prime(n: int) -> bool:
 
 def _bpsw(n: int) -> bool:
     # Baillie-PSW for an odd n with no prime factor below 2**16 (a sieve
-    # survivor above 2**40): a strong base-2 test, then the extra strong Lucas
+    # survivor above 2**38): a strong base-2 test, then the extra strong Lucas
     # test with Q = 1 (Grantham 2001).  No composite below 2**64 passes both
     # (Baillie, Fiori and Wagstaff, Math. Comp. 2021).  The base-2 step
     # repeats is_prime's witness loop rather than share it: is_prime judges
@@ -234,24 +234,26 @@ def _bpsw(n: int) -> bool:
 
 _SEGMENT = 1 << 16
 
-# A range ending at or below 2**40 is sieved by every prime up to its square
-# root (at most the 82,025 below 2**20), so each survivor is prime; there
-# that walk costs no more than the 7 witnesses `is_prime` would spend on each
-# prime, and at 10**10 a fifth of them.  Above 2**40 every survivor goes to
-# `_bpsw`, and base primes past _BASE = 2**16 would cost a segment more than
-# the one base-2 test that rejects each composite they strike out.  The
-# stream never calls `is_prime`, so the tests and the benchmark gate judge it
-# with the 7-base Miller-Rabin.
-_SIEVED = 1 << 40
+# A range ending at or below 2**38 is sieved by every prime up to its square
+# root (at most the 43,390 below 2**19), so each survivor is prime.  Above
+# 2**38 every survivor goes to `_bpsw`, and base primes past _BASE = 2**16
+# would cost a segment more than the one base-2 test that rejects each
+# composite they strike out.  The switch sits where the two routes cost the
+# same on 2**15 scan chunks: the full sieve took 0.69x the time of the 2**16
+# base plus `_bpsw` at 10**11, 1.08x at 2**38 and 1.60x at 10**12 (in process
+# on a shared 2-vCPU x86-64 host, Python 3.11).  The stream never calls
+# `is_prime`, so the tests and the benchmark gate judge it with the 7-base
+# Miller-Rabin.
+_SIEVED = 1 << 38
 _BASE = 1 << 16
 
 
 def primes_in_range(lo: int, hi: int) -> Iterator[int]:
     """Yield every prime in [lo, hi) exactly once, ascending.
 
-    Segmented sieve: memory stays O(2**20 + segment) no matter how wide or
+    Segmented sieve: memory stays O(2**19 + segment) no matter how wide or
     how high the range is, so disjoint ranges can be sieved independently.
-    Up to hi = 2**40 the base primes are all those up to sqrt(hi), so every
+    Up to hi = 2**38 the base primes are all those up to sqrt(hi), so every
     survivor is prime.  Above, the base primes stop at 2**16 and each
     survivor is finished by Baillie-PSW: a strong base-2 test and an extra
     strong Lucas test, which no composite below 2**64 passes.  `is_prime`
@@ -278,8 +280,8 @@ def primes_in_range(lo: int, hi: int) -> Iterator[int]:
 
 def _prime_flags(n: int) -> bytearray:
     # plain sieve, inclusive: flag i is 1 iff i is prime.  Only used for the
-    # base primes, so n <= 2**20; flags rather than a list of ints keep it at
-    # 1 MB at most, and 64 KB for a range above 2**40.
+    # base primes, so n <= 2**19; flags rather than a list of ints keep it at
+    # 512 KB at most, and 64 KB for a range above 2**38.
     if n < 2:
         return bytearray(n + 1)
     s = bytearray(b"\x01") * (n + 1)

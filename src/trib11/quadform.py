@@ -1,13 +1,15 @@
 """Representations p = x^2 + 11*y^2.
 
-Cornacchia's descent does the real work; an exhaustive scan over y is
-kept alongside it as the oracle the fast path is validated against.
+A scan chunk below 2**29 reads its primes' representations off marks of
+the form's values in the chunk; above, and for a single prime, Cornacchia's
+descent does the work.  `represent` is Cornacchia and judges the marks;
+an exhaustive scan over y judges Cornacchia.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .modmath import PrimeLike, _sqrt_mod, require_prime
 
@@ -39,7 +41,8 @@ def represent(p: PrimeLike) -> Representation:
     Cornacchia: take r with r^2 = -11 mod p (the smaller root, for
     reproducibility), run the Euclidean remainder cascade from (p, r)
     until the remainder drops to sqrt(p) or below, and test the candidate.
-    It runs at every odd prime; 2 is not of the form.
+    2 is not of the form.  A scan below 2**29 takes the marks of
+    `_representations` instead, which this judges.
     """
     return _cornacchia(require_prime(p))
 
@@ -63,6 +66,40 @@ def _cornacchia(p: int) -> Representation:
     if y * y != y_sq:
         return _NONE
     return Representation(b, y)
+
+
+#: a chunk ending at or below this marks the values of the form; above, each
+#: prime runs Cornacchia
+_MARKED = 1 << 29
+
+
+def _representations(lo: int, hi: int) -> Callable[[int], Representation]:
+    # p -> represent(p) for the primes p of the chunk [lo, hi).  Below _MARKED a
+    # chunk holds about 0.24 * (hi - lo) values x^2 + 11*y^2, reached by
+    # sqrt(hi/11) runs of x, so marking them all costs less than one descent
+    # per prime.  A cell holds y + 1 for the last (x, y) written there; a prime
+    # has at most one representation with x, y >= 0 (Cox, Primes of the Form
+    # x^2 + ny^2), and composites, which may have several, are never read.
+    # y < 2**16 here, so the cells are 16 bits: 64 KB for a 2**15 chunk.
+    if hi > _MARKED:
+        return _cornacchia
+    marks = memoryview(bytearray(2 * (hi - lo))).cast("H")
+    for y in range(isqrt((hi - 1) // FORM_D) + 1):  # every y with 11*y^2 < hi
+        base = FORM_D * y * y
+        first = isqrt(lo - base - 1) + 1 if lo > base else 0  # ceil(sqrt(lo - base))
+        off = base - lo
+        t = y + 1
+        for x in range(first, isqrt(hi - 1 - base) + 1):
+            marks[x * x + off] = t
+
+    def representation(p: int) -> Representation:
+        t = marks[p - lo]
+        if not t:
+            return _NONE
+        y = t - 1
+        return Representation(isqrt(p - FORM_D * y * y), y)
+
+    return representation
 
 
 def represent_bruteforce(n: int) -> Representation:

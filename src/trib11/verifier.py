@@ -5,7 +5,9 @@ T_{p-1}, whether p = x^2 + 11y^2, and how x^3 - x^2 - x - 1 factors mod
 p.  The first and third come from the power x^p in F_p[x]/(f), which a
 scan takes for each chunk's primes in batches that share one ladder and
 walk along the prime gaps (`gfext._frobenius_powers`; `verdict` is the
-batch of one); the second from Cornacchia, which shares nothing with
+batch of one).  The second comes from the chunk's marks of the values
+x^2 + 11y^2 below 2^29 and from Cornacchia above (and in `verdict`);
+neither reads x^p or p mod 11, so representability shares nothing with
 that kernel.  Outside the two known exceptional primes 11 and 19 the
 first two must agree (and both must match the completely-split shape);
 any other disagreement flags the whole report as FAILED.
@@ -28,7 +30,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .gfext import FrobeniusClass, Shape, _frobenius_power, _frobenius_powers, _gcd_shape
 from .modmath import MAX_MODULUS, PrimeLike, primes_in_range, require_prime
-from .quadform import _cornacchia
+from .quadform import Representation, _cornacchia, _representations
 
 #: the primes where divisibility and representability legitimately disagree
 KNOWN_EXCEPTIONS = frozenset({11, 19})
@@ -145,14 +147,16 @@ def _log(level: str, msg: str, *args) -> None:
 def verdict(p: PrimeLike) -> VerdictRecord:
     """Compute the full per-prime record for one prime."""
     pv = require_prime(p)
-    return _record(pv, *_frobenius_power(pv))
+    return _record(pv, *_frobenius_power(pv), _cornacchia(pv))
 
 
-def _record(p: int, xp: tuple[int, int, int], shape: Shape) -> VerdictRecord:
-    # the record of the prime p, given x^p in F_p[x]/(f) and the shape of f mod p
+def _record(p: int, xp: tuple[int, int, int], shape: Shape,
+            rep: Representation) -> VerdictRecord:
+    # the record of the prime p, given x^p in F_p[x]/(f), the shape of f mod p
+    # and p's representation by x^2 + 11y^2
     residue = xp[2]  # the x^2 coefficient of x^p is T_{p-1} mod p
     divisible = residue == 0
-    x, y = _cornacchia(p)
+    x, y = rep
     representable = x is not None
     consistent = divisible == representable
     return VerdictRecord(p, residue, divisible, representable, x, y,
@@ -166,8 +170,9 @@ def _chunk(row, bounds: tuple[int, int]) -> _Chunk:
     rows = []
     class_counts = dict.fromkeys(FrobeniusClass, 0)
     violations = []
+    representation = _representations(lo, hi)
     for p, xp, shape in _frobenius_powers(primes_in_range(lo, hi)):
-        rec = _record(p, xp, shape)
+        rec = _record(p, xp, shape, representation(p))
         class_counts[rec.frobenius] += 1
         if rec.exceptional:
             violations.append(p)

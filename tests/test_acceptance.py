@@ -186,8 +186,8 @@ def test_scan_stdout_matches_the_benchmark_pins(million_scan):
     assert window["format"] == "jsonl"
     report = scan(window["from"], window["to"], workers=2)
     assert _stdout_sha256(report.records, report, "jsonl") == window["sha256"]
-    # the only pin above 2**40, where is_prime finishes the sieve's survivors and
-    # Cornacchia runs on 54-bit primes
+    # the only pin above 2**38, where BPSW finishes the sieve's survivors, and
+    # with window_1e9_w2 above 2**29, where Cornacchia runs on every prime
     high = pins["window_1e16"]
     assert high["format"] == "csv"
     report = scan(high["from"], high["to"])

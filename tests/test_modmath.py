@@ -327,23 +327,35 @@ def _refuse(name):
     return refuse
 
 
-@pytest.mark.parametrize("lo, count", [(10**9, 4832), (10**12, 3614)])
-def test_primes_below_2_40_are_certified_by_the_sieve(lo, count, monkeypatch):
-    # below 2**40 the sieve walks every prime up to sqrt(hi) and asks no test
-    # of its survivors
+@pytest.mark.parametrize("lo, count", [(10**9, 4832), (2**38 - 10**5, 3779)])
+def test_primes_below_2_38_are_certified_by_the_sieve(lo, count, monkeypatch):
+    # up to hi = 2**38 the sieve walks every prime up to sqrt(hi) and asks no
+    # test of its survivors
     monkeypatch.setattr(modmath, "is_prime", _refuse("is_prime"))
     monkeypatch.setattr(modmath, "_bpsw", _refuse("_bpsw"))
     assert sum(1 for _ in primes_in_range(lo, lo + 10**5)) == count
 
 
-@pytest.mark.parametrize("lo", [10**16, 2**63 - 10**4])
-def test_the_sieve_never_grades_itself_above_2_40(lo, monkeypatch):
-    # above 2**40 BPSW finishes the survivors; is_prime is the judge, so the
+@pytest.mark.parametrize("lo", [10**12, 10**16, 2**63 - 10**4])
+def test_the_sieve_never_grades_itself_above_2_38(lo, monkeypatch):
+    # above 2**38 BPSW finishes the survivors; is_prime is the judge, so the
     # sieve must never call it
     hi = lo + 10**4
     expected = [n for n in range(lo, hi) if is_prime(n)]
     monkeypatch.setattr(modmath, "is_prime", _refuse("is_prime"))
     assert list(primes_in_range(lo, hi)) == expected
+
+
+def test_a_window_across_2_38_matches_is_prime(monkeypatch):
+    # the switch from the full sieve to the 2**16 base plus BPSW: a window that
+    # ends above 2**38 takes the second route for every survivor, also below it
+    lo, hi = 2**38 - 5000, 2**38 + 5000
+    expected = [n for n in range(lo, hi) if is_prime(n)]
+    graded = []
+    bpsw = modmath._bpsw
+    monkeypatch.setattr(modmath, "_bpsw", lambda n: graded.append(n) or bpsw(n))
+    assert list(primes_in_range(lo, hi)) == expected
+    assert min(graded) < 2**38 < max(graded)
 
 
 def test_primes_in_range_validates():

@@ -5,8 +5,9 @@ the fused classifier against the other two and its p mod 11 rule against
 the Legendre symbol, the batched walk along the prime gaps against the
 per-prime ladder and gcd, the prime source against trial division and
 `is_prime`, `is_prime` above 2**32 against sympy's BPSW test, the sieve's
-own BPSW on its survivors above 2**40 against `is_prime` and sympy,
-Cornacchia against the splitting shape, and `sqrt_mod` near the top of the
+own BPSW on its survivors above 2**38 against `is_prime` and sympy,
+Cornacchia against the splitting shape, a scan chunk's marks of the form's
+values below 2**29 against Cornacchia, and `sqrt_mod` near the top of the
 domain.
 """
 
@@ -37,8 +38,9 @@ from trib11.modmath import (
     primes_in_range,
     sqrt_mod,
 )
-from trib11.quadform import represent
+from trib11.quadform import _MARKED, _representations, represent
 from trib11.tribonacci import QuotientRing, trib_mod
+from trib11.verifier import _CHUNK
 
 from oracles import trial_primes, trib_list_mod
 
@@ -151,12 +153,12 @@ def test_frobenius_powers_walk_matches_per_prime_ladder(ps):
 _WIDTH = 2000
 
 # windows anywhere in the domain, across 2**32 (the square of the base primes
-# kept above 2**40), across 2**40 (where sieve survivors stop being certainly
+# kept above 2**38), across 2**38 (where sieve survivors stop being certainly
 # prime), and ending at MAX_MODULUS
 window_starts = st.one_of(
     st.integers(2, MAX_MODULUS - _WIDTH),
     st.integers(2**32 - _WIDTH, 2**32),
-    st.integers(2**40 - _WIDTH, 2**40),
+    st.integers(2**38 - _WIDTH, 2**38),
     st.integers(0, _WIDTH).map(lambda k: MAX_MODULUS - _WIDTH - k),
 )
 
@@ -197,7 +199,7 @@ def test_is_prime_matches_bpsw_above_2_32(n):
     assert is_prime(n) == bpsw(n)
 
 
-# the product of the primes below 2**16, which the sieve strikes out above 2**40
+# the product of the primes below 2**16, which the sieve strikes out above 2**38
 _STRUCK = math.prod(trial_primes(2, 2**16))
 
 
@@ -208,15 +210,15 @@ def _next_survivor(n: int) -> int:
     return n
 
 
-# the sieve's survivors above 2**40: no prime factor below 2**16.  Semiprime
+# the sieve's survivors above 2**38: no prime factor below 2**16.  Semiprime
 # draws have both factors above 2**16 already, and stay semiprimes
-survivors_above_2_40 = (
-    above_2_32.filter(lambda n: n > 2**40).map(_next_survivor).filter(lambda n: n < 2**64)
+survivors_above_2_38 = (
+    above_2_32.filter(lambda n: n > 2**38).map(_next_survivor).filter(lambda n: n < 2**64)
 )
 
 
 @reproducible
-@given(n=survivors_above_2_40)
+@given(n=survivors_above_2_38)
 def test_bpsw_matches_is_prime_and_sympy_on_sieve_survivors(n):
     primetest = pytest.importorskip("sympy.ntheory.primetest")
     assert _bpsw(n) == is_prime(n) == primetest.is_strong_bpsw_prp(n)
@@ -233,6 +235,19 @@ def test_representable_iff_three_distinct_roots(p):
     if p != 11:
         _, shape = frobenius_power(ModPrime(p))
         assert rep.exists == (shape is Shape.THREE_DISTINCT_ROOTS)
+
+
+@reproducible
+@given(
+    lo=st.one_of(st.integers(2, 2**16), st.integers(2, _MARKED - _CHUNK - 1)),
+    width=st.integers(1, _CHUNK),
+)
+def test_marks_match_cornacchia_on_chunks_below_2_29(lo, width):
+    # the marks of every x^2 + 11y^2 in [lo, hi), read at each prime
+    hi = lo + width
+    representation = _representations(lo, hi)
+    for p in primes_in_range(lo, hi):
+        assert representation(p) == represent(p), p
 
 
 @reproducible

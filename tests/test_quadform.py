@@ -1,24 +1,35 @@
 import pytest
 
 from trib11.gfext import Shape, splitting_type
-from trib11.modmath import ModPrime, NotPrime, jacobi
+from trib11.modmath import ModPrime, NotPrime, jacobi, primes_in_range
 from trib11 import quadform
-from trib11.quadform import BRUTEFORCE_MAX, Representation, represent, represent_bruteforce
+from trib11.quadform import (
+    _MARKED,
+    BRUTEFORCE_MAX,
+    Representation,
+    _representations,
+    represent,
+    represent_bruteforce,
+)
 
 from oracles import brute_rep_hits, sieve_list
 
 
 def test_fixed_representations():
-    assert represent(11) == Representation(0, 1)
-    assert represent(47) == Representation(6, 1)
-    assert represent(53) == Representation(3, 2)
+    # by Cornacchia, and off the marks of a scan chunk below 2**29
+    marks = _representations(2, 100)
+    for rep in (represent, marks):
+        assert rep(11) == Representation(0, 1)
+        assert rep(47) == Representation(6, 1)
+        assert rep(53) == Representation(3, 2)
 
 
 def test_fixed_non_representations():
+    marks = _representations(2, 100)
     for p in (2, 3, 5, 7, 13, 19):
-        rep = represent(p)
-        assert not rep.exists
-        assert rep.x is None and rep.y is None
+        for rep in (represent(p), marks(p)):
+            assert not rep.exists
+            assert rep.x is None and rep.y is None
 
 
 def test_small_primes_take_cornacchia_not_the_oracle(monkeypatch):
@@ -28,6 +39,16 @@ def test_small_primes_take_cornacchia_not_the_oracle(monkeypatch):
 
     monkeypatch.setattr(quadform, "represent_bruteforce", refuse)
     assert [represent(p) for p in (2, 3, 5, 7, 11)] == [(None, None)] * 4 + [(0, 1)]
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 2**15), (10**6 - 2**15, 10**6), (_MARKED - 2**15, _MARKED)])
+def test_marks_match_cornacchia_on_scan_chunks(lo, hi):
+    # a scan chunk below 2**29 reads its representations off the marks, which
+    # represent (Cornacchia) judges; the last chunk ends on the bound itself
+    assert _MARKED == 2**29
+    representation = _representations(lo, hi)
+    for p in primes_in_range(lo, hi):
+        assert representation(p) == represent(p), p
 
 
 def test_represent_requires_prime():

@@ -3,9 +3,9 @@ import logging
 
 import pytest
 
-from trib11 import gfext, verifier
+from trib11 import gfext, quadform, verifier
 from trib11.gfext import FrobeniusClass, Shape
-from trib11.modmath import MAX_MODULUS, NotPrime
+from trib11.modmath import MAX_MODULUS, NotPrime, primes_in_range
 from trib11.quadform import represent_bruteforce
 from trib11.verifier import (
     KNOWN_EXCEPTIONS,
@@ -96,6 +96,29 @@ def test_verdict_matches_independent_oracles_below_5000():
         assert rec.splitting is _oracle_shape(p), p
         rep = represent_bruteforce(p)
         assert (rec.representable, rec.rep_x, rec.rep_y) == (rep.exists, rep.x, rep.y), p
+
+
+def _refuse_cornacchia(p):
+    raise AssertionError(f"Cornacchia called for {p}")
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 10**5), (2**29 - 2**15, 2**29)])
+def test_scans_below_2_29_read_the_marks(lo, hi, monkeypatch):
+    # a chunk ending at or below 2**29 marks the values of x^2 + 11y^2 and runs
+    # no Cornacchia; verdict, which still does, builds the expected records
+    expected = [verdict(p) for p in primes_in_range(lo, hi)]
+    monkeypatch.setattr(quadform, "_cornacchia", _refuse_cornacchia)
+    assert scan(lo, hi).records == expected
+
+
+def test_scans_above_2_29_run_cornacchia_per_prime(monkeypatch):
+    lo, hi = 2**29, 2**29 + 2**15
+    expected = [verdict(p) for p in primes_in_range(lo, hi)]
+    called = []
+    cornacchia = quadform._cornacchia
+    monkeypatch.setattr(quadform, "_cornacchia", lambda p: called.append(p) or cornacchia(p))
+    assert scan(lo, hi).records == expected
+    assert called == [rec.p for rec in expected]
 
 
 def test_scan_first_century():
