@@ -1,8 +1,8 @@
 """Representations p = x^2 + 11*y^2.
 
-A scan chunk below 2**29 reads its primes' representations off marks of
-the form's values in the chunk; above, and for a single prime, Cornacchia's
-descent does the work.  `represent` is Cornacchia and judges the marks;
+A scan chunk below 2**33 reads its primes' representations off marks of
+the form's values in the chunk, one isqrt per row y; above, and for a single
+prime, Cornacchia's descent does the work.  `represent` is Cornacchia and judges the marks;
 an exhaustive scan over y judges Cornacchia.
 """
 
@@ -41,7 +41,7 @@ def represent(p: PrimeLike) -> Representation:
     Cornacchia: take r with r^2 = -11 mod p (the smaller root, for
     reproducibility), run the Euclidean remainder cascade from (p, r)
     until the remainder drops to sqrt(p) or below, and test the candidate.
-    2 is not of the form.  A scan below 2**29 takes the marks of
+    2 is not of the form.  A scan below 2**33 takes the marks of
     `_representations` instead, which this judges.
     """
     return _cornacchia(require_prime(p))
@@ -70,26 +70,41 @@ def _cornacchia(p: int) -> Representation:
 
 #: a chunk ending at or below this marks the values of the form; above, each
 #: prime runs Cornacchia
-_MARKED = 1 << 29
+_MARKED = 1 << 33
 
 
 def _representations(lo: int, hi: int) -> Callable[[int], Representation]:
     # p -> represent(p) for the primes p of the chunk [lo, hi).  Below _MARKED a
-    # chunk holds about 0.24 * (hi - lo) values x^2 + 11*y^2, reached by
-    # sqrt(hi/11) runs of x, so marking them all costs less than one descent
-    # per prime.  A cell holds y + 1 for the last (x, y) written there; a prime
-    # has at most one representation with x, y >= 0 (Cox, Primes of the Form
-    # x^2 + ny^2), and composites, which may have several, are never read.
-    # y < 2**16 here, so the cells are 16 bits: 64 KB for a 2**15 chunk.
+    # chunk holds about 0.24 * (hi - lo) values x^2 + 11*y^2 on sqrt(hi/11) rows
+    # y.  A cell holds y + 1 for the last (x, y) written there; a prime has at
+    # most one representation with x, y >= 0 (Cox, Primes of the Form x^2 + ny^2),
+    # and composites, which may have several, are never read.  y < 2**16 here,
+    # so the cells are 16 bits: 64 KB for a 2**15 chunk.
+    #
+    # Each row costs one isqrt: top is its largest x, at cell v.  v < 0 leaves
+    # the row empty; v < 2*top - 1 means (top - 1)^2 + 11y^2 < lo, so x = top is
+    # the row's only value; only a row with more takes the second isqrt for its
+    # smallest x.  Near 10**9 most rows hold one value or none.  Per prime, over
+    # 16 chunks of 2**15 (CPU time, best of 9, CPython 3.11 on a Xeon), the walk
+    # against Cornacchia costs 1.7-2.8 vs 4.3-5.9 us at 10**9, 5.0 vs 7.9-8.6 at
+    # 2**32, 5.4-6.4 vs 7.6-8.7 at 2**33, and they meet at 2**34 (7.7-8.4 vs
+    # 7.8-8.4), so the marks stop at 2**33.
     if hi > _MARKED:
         return _cornacchia
     marks = memoryview(bytearray(2 * (hi - lo))).cast("H")
     for y in range(isqrt((hi - 1) // FORM_D) + 1):  # every y with 11*y^2 < hi
         base = FORM_D * y * y
-        first = isqrt(lo - base - 1) + 1 if lo > base else 0  # ceil(sqrt(lo - base))
         off = base - lo
+        top = isqrt(hi - 1 - base)
+        v = top * top + off
+        if v < 0:
+            continue
         t = y + 1
-        for x in range(first, isqrt(hi - 1 - base) + 1):
+        if v < 2 * top - 1:
+            marks[v] = t
+            continue
+        first = isqrt(-off - 1) + 1 if off < 0 else 0  # ceil(sqrt(lo - base))
+        for x in range(first, top + 1):
             marks[x * x + off] = t
 
     def representation(p: int) -> Representation:

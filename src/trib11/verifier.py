@@ -6,7 +6,7 @@ p.  The first and third come from the power x^p in F_p[x]/(f), which a
 scan takes for each chunk's primes in batches that share one ladder and
 walk along the prime gaps (`gfext._frobenius_powers`; `verdict` is the
 batch of one).  The second comes from the chunk's marks of the values
-x^2 + 11y^2 below 2^29 and from Cornacchia above (and in `verdict`);
+x^2 + 11y^2 below 2^33 and from Cornacchia above (and in `verdict`);
 neither reads x^p or p mod 11, so representability shares nothing with
 that kernel.  Outside the two known exceptional primes 11 and 19 the
 first two must agree (and both must match the completely-split shape);

@@ -82,6 +82,18 @@ def brute_rep_hits(n: int) -> list[tuple[int, int]]:
     return hits
 
 
+def form_values(lo: int, hi: int) -> set[int]:
+    """Every x^2 + 11y^2 in [lo, hi), with x, y >= 0, row by row over y."""
+    values = set()
+    y = 0
+    while 11 * y * y < hi:
+        base = 11 * y * y
+        first = isqrt(lo - base - 1) + 1 if lo > base else 0
+        values.update(x * x + base for x in range(first, isqrt(hi - 1 - base) + 1))
+        y += 1
+    return values
+
+
 def trib_list_mod(count: int, m: int) -> list[int]:
     """First `count` Tribonacci values T_0.. mod m by direct iteration."""
     seq = [0 % m, 1 % m, 1 % m]

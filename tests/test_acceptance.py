@@ -186,8 +186,9 @@ def test_scan_stdout_matches_the_benchmark_pins(million_scan):
     assert window["format"] == "jsonl"
     report = scan(window["from"], window["to"], workers=2)
     assert _stdout_sha256(report.records, report, "jsonl") == window["sha256"]
-    # the only pin above 2**38, where BPSW finishes the sieve's survivors; it and
-    # window_1e9_w2 lie above 2**29, where each prime runs Cornacchia
+    # the only pin above 2**38, where BPSW finishes the sieve's survivors, and the
+    # only one above 2**33, where each prime runs Cornacchia; window_1e9_w2 reads
+    # the marks
     high = pins["window_1e16"]
     assert high["format"] == "csv"
     report = scan(high["from"], high["to"])

@@ -7,7 +7,7 @@ per-prime ladder and gcd, the prime source against trial division and
 `is_prime`, `is_prime` above 2**32 against sympy's BPSW test, the sieve's
 own BPSW on its survivors above 2**38 against `is_prime` and sympy,
 Cornacchia against the splitting shape, a scan chunk's marks of the form's
-values below 2**29 against Cornacchia, and `sqrt_mod` near the top of the
+values below 2**33 against Cornacchia, and `sqrt_mod` near the top of the
 domain.
 """
 
@@ -242,7 +242,7 @@ def test_representable_iff_three_distinct_roots(p):
     lo=st.one_of(st.integers(2, 2**16), st.integers(2, _MARKED - _CHUNK - 1)),
     width=st.integers(1, _CHUNK),
 )
-def test_marks_match_cornacchia_on_chunks_below_2_29(lo, width):
+def test_marks_match_cornacchia_on_chunks_below_2_33(lo, width):
     # the marks of every x^2 + 11y^2 in [lo, hi), read at each prime
     hi = lo + width
     representation = _representations(lo, hi)

@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 
 from trib11.gfext import Shape, splitting_type
@@ -6,17 +8,18 @@ from trib11 import quadform
 from trib11.quadform import (
     _MARKED,
     BRUTEFORCE_MAX,
+    FORM_D,
     Representation,
     _representations,
     represent,
     represent_bruteforce,
 )
 
-from oracles import brute_rep_hits, sieve_list
+from oracles import brute_rep_hits, form_values, sieve_list
 
 
 def test_fixed_representations():
-    # by Cornacchia, and off the marks of a scan chunk below 2**29
+    # by Cornacchia, and off the marks of a scan chunk below 2**33
     marks = _representations(2, 100)
     for rep in (represent, marks):
         assert rep(11) == Representation(0, 1)
@@ -41,14 +44,53 @@ def test_small_primes_take_cornacchia_not_the_oracle(monkeypatch):
     assert [represent(p) for p in (2, 3, 5, 7, 11)] == [(None, None)] * 4 + [(0, 1)]
 
 
-@pytest.mark.parametrize("lo, hi", [(2, 2**15), (10**6 - 2**15, 10**6), (_MARKED - 2**15, _MARKED)])
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (2, 2**15),
+        (10**6 - 2**15, 10**6),
+        (1025853374, 1025853374 + 2**15),  # the first chunk of window_1e9_w2
+        (2**29 - 2**15, 2**29),
+        (2**32, 2**32 + 2**15),
+        (_MARKED - 2**15, _MARKED),
+    ],
+)
 def test_marks_match_cornacchia_on_scan_chunks(lo, hi):
-    # a scan chunk below 2**29 reads its representations off the marks, which
+    # a scan chunk below _MARKED reads its representations off the marks, which
     # represent (Cornacchia) judges; the last chunk ends on the bound itself
-    assert _MARKED == 2**29
     representation = _representations(lo, hi)
     for p in primes_in_range(lo, hi):
         assert representation(p) == represent(p), p
+
+
+def _assert_marks_are_the_form_values(lo, hi):
+    values = form_values(lo, hi)
+    representation = _representations(lo, hi)
+    for n in range(lo, hi):
+        rep = representation(n)
+        assert rep.exists == (n in values), n
+        if rep.exists:
+            assert rep.x**2 + FORM_D * rep.y**2 == n, n
+
+
+@pytest.mark.parametrize("width", range(1, 17))
+def test_narrow_chunks_mark_exactly_the_form_values(width):
+    # every integer, not only primes: a row whose one value sits on the chunk's
+    # first or last cell is where the single-value branch of the walk can slip
+    starts = [2, 3, 11, 12, 47, 100, 10**6 - 7, 10**9 + 3, 2**33 - 16]
+    starts += range(2, 200, 7)
+    for lo in starts:
+        _assert_marks_are_the_form_values(lo, lo + width)
+
+
+@pytest.mark.parametrize("lo", [10**9, _MARKED - 2**15])
+def test_full_chunks_mark_exactly_the_form_values(lo):
+    _assert_marks_are_the_form_values(lo, lo + 2**15)
+
+
+def test_marks_fit_their_16_bit_cells():
+    # a cell holds y + 1 for every y with 11y^2 below the switch
+    assert isqrt((_MARKED - 1) // FORM_D) + 1 < 2**16
 
 
 def test_represent_requires_prime():

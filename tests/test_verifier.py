@@ -102,17 +102,17 @@ def _refuse_cornacchia(p):
     raise AssertionError(f"Cornacchia called for {p}")
 
 
-@pytest.mark.parametrize("lo, hi", [(2, 10**5), (2**29 - 2**15, 2**29)])
-def test_scans_below_2_29_read_the_marks(lo, hi, monkeypatch):
-    # a chunk ending at or below 2**29 marks the values of x^2 + 11y^2 and runs
+@pytest.mark.parametrize("lo, hi", [(2, 10**5), (10**9, 10**9 + 2**15), (2**33 - 2**15, 2**33)])
+def test_scans_below_2_33_read_the_marks(lo, hi, monkeypatch):
+    # a chunk ending at or below 2**33 marks the values of x^2 + 11y^2 and runs
     # no Cornacchia; verdict, which still does, builds the expected records
     expected = [verdict(p) for p in primes_in_range(lo, hi)]
     monkeypatch.setattr(quadform, "_cornacchia", _refuse_cornacchia)
     assert scan(lo, hi).records == expected
 
 
-def test_scans_above_2_29_run_cornacchia_per_prime(monkeypatch):
-    lo, hi = 2**29, 2**29 + 2**15
+def test_scans_above_2_33_run_cornacchia_per_prime(monkeypatch):
+    lo, hi = 2**33, 2**33 + 2**15
     expected = [verdict(p) for p in primes_in_range(lo, hi)]
     called = []
     cornacchia = quadform._cornacchia
