@@ -1,9 +1,10 @@
 """Representations p = x^2 + 11*y^2.
 
 A scan chunk below 2**33 reads its primes' representations off marks of
-the form's values in the chunk, one isqrt per row y; above, and for a single
-prime, Cornacchia's descent does the work.  `represent` is Cornacchia and judges the marks;
-an exhaustive scan over y judges Cornacchia.
+the form's values in the chunk, one isqrt per row y; above, and for a
+single prime, Cornacchia's descent does the work.  `represent` is
+Cornacchia and judges the marks; an exhaustive scan over y judges
+Cornacchia.
 """
 
 from __future__ import annotations
@@ -86,26 +87,28 @@ def _representations(lo: int, hi: int) -> Callable[[int], Representation]:
     # the row's only value; only a row with more takes the second isqrt for its
     # smallest x.  Near 10**9 most rows hold one value or none.  Per prime, over
     # 16 chunks of 2**15 (CPU time, best of 9, CPython 3.11 on a Xeon), the walk
-    # against Cornacchia costs 1.7-2.8 vs 4.3-5.9 us at 10**9, 5.0 vs 7.9-8.6 at
-    # 2**32, 5.4-6.4 vs 7.6-8.7 at 2**33, and they meet at 2**34 (7.7-8.4 vs
-    # 7.8-8.4), so the marks stop at 2**33.
+    # against Cornacchia costs 1.6-1.8 vs 4.3-4.4 us at 10**9, 3.1-3.6 vs 8.2-8.5
+    # at 2**32, 4.7-6.6 vs 7.8-10.3 at 2**33, 5.9-6.8 vs 8.2-10.5 at 2**34 and
+    # 8.9-11.6 vs 8.4-8.6 at 2**35, so the marks stop at 2**33, short of the
+    # crossover.
     if hi > _MARKED:
         return _cornacchia
     marks = memoryview(bytearray(2 * (hi - lo))).cast("H")
-    for y in range(isqrt((hi - 1) // FORM_D) + 1):  # every y with 11*y^2 < hi
-        base = FORM_D * y * y
-        off = base - lo
-        top = isqrt(hi - 1 - base)
+    rest = hi - 1 - lo  # hi - 1 - 11y^2 is rest - off
+    off = -lo  # 11y^2 - lo, the cell of x = 0
+    step = FORM_D  # 11(2y + 1), from row y to row y + 1
+    for t in range(1, isqrt((hi - 1) // FORM_D) + 2):  # t = y + 1 for every 11y^2 < hi
+        top = isqrt(rest - off)
         v = top * top + off
-        if v < 0:
-            continue
-        t = y + 1
-        if v < 2 * top - 1:
-            marks[v] = t
-            continue
-        first = isqrt(-off - 1) + 1 if off < 0 else 0  # ceil(sqrt(lo - base))
-        for x in range(first, top + 1):
-            marks[x * x + off] = t
+        if v >= 0:
+            if v < 2 * top - 1:
+                marks[v] = t
+            else:
+                first = isqrt(-off - 1) + 1 if off < 0 else 0  # ceil(sqrt(lo - 11y^2))
+                for x in range(first, top + 1):
+                    marks[x * x + off] = t
+        off += step
+        step += 2 * FORM_D
 
     def representation(p: int) -> Representation:
         t = marks[p - lo]
