@@ -36,7 +36,6 @@ _SOURCES = {
     "VerdictRecord": "verifier",
     "build_root_context": "tribonacci",
     "frobenius_orbit": "gfext",
-    "frobenius_power": "gfext",
     "frobenius_reduction_check": "tribonacci",
     "is_prime": "modmath",
     "jacobi": "modmath",

@@ -11,8 +11,8 @@ Every power in F_p[x]/(f) goes through one square-and-shift ladder,
 from x^p, which it takes in batches (`_frobenius_powers`): consecutive
 primes whose product m reaches `_BATCH_BITS` bits share one ladder for
 x^q1 mod m, each later prime's x^q mod m is the one before times x^g
-for the gap g, and x^q mod m reduces to x^q mod q.  `frobenius_power`
-is the batch of one.  `splitting_type`, `frobenius_orbit` and
+for the gap g, and x^q mod m reduces to x^q mod q; `verifier.verdict`
+takes the batch of one.  `splitting_type`, `frobenius_orbit` and
 `tribonacci.trib_mod` take their powers prime by prime, so the tests and
 the obstruction check judge the batched walk by them.
 """
@@ -147,25 +147,6 @@ def _xpow(n, m, a=0):
     return r0 % m, r1 % m, r2 % m
 
 
-def frobenius_power(p: PrimeLike) -> tuple[tuple[int, int, int], Shape]:
-    """x^p in F_p[x]/(f), whose x^2 coefficient is T_{p-1} mod p, and the shape of f mod p.
-
-    x^p = x exactly when f has three distinct roots.  Otherwise, as
-    disc(f) = -11 * 2^2, Frobenius is an even permutation (a 3-cycle)
-    iff (-11|p) = 1, and a transposition iff (-11|p) = -1.  Since
-    -11 = 1 mod 4, reciprocity gives (-11|p) = (p|11), so the class is
-    read off p mod 11: Q(sqrt(-11)) is the quadratic subfield of the
-    splitting field.  The ramified primes 2 and 11 keep their fixed shapes.
-    """
-    return _frobenius_power(require_prime(p))
-
-
-def _frobenius_power(p: int) -> tuple[tuple[int, int, int], Shape]:
-    # frobenius_power for a p already known to be prime: the batch of one
-    _, xp, shape = next(_frobenius_powers((p,)))
-    return xp, shape
-
-
 #: a batch of primes closes once their product reaches this many bits
 _BATCH_BITS = 192
 
@@ -210,6 +191,12 @@ def _walk(batch, m):
             )
             prev = q
         xp = r0 % q, r1 % q, r2 % q
+        # x^q = x exactly when f has three distinct roots.  Otherwise, as
+        # disc(f) = -44 = -11 * 2^2, Frobenius is an even permutation (a 3-cycle)
+        # exactly when (-11|q) = 1, and a transposition when (-11|q) = -1.  Since
+        # -11 = 1 mod 4, reciprocity gives (-11|q) = (q|11), so the class is read
+        # off q mod 11: Q(sqrt(-11)) is the quadratic subfield of the splitting
+        # field.  The ramified 2 and 11 keep their fixed shapes.
         if q in _RAMIFIED_SHAPE:
             shape = _RAMIFIED_SHAPE[q]
         elif xp == _X:
@@ -338,7 +325,7 @@ def _splitting_type(p: int) -> SplittingType:
 def _gcd_shape(p: int) -> tuple[Shape, list[int]]:
     # splitting_type's shape for a p known to be prime, from the degree of the
     # monic g = gcd(f, x^p - x), returned with g: f, x - r or [1].  It searches
-    # for no root and does not use _frobenius_power's p mod 11 rule.  The
+    # for no root and does not use _walk's p mod 11 rule.  The
     # ramified 2 and 11 get their fixed shapes and g = [].
     if p in _RAMIFIED_SHAPE:
         return _RAMIFIED_SHAPE[p], []

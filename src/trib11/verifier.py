@@ -25,10 +25,10 @@ import os
 import sys
 from collections import deque
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
-from .gfext import FrobeniusClass, Shape, _frobenius_power, _frobenius_powers, _gcd_shape
+from .gfext import FrobeniusClass, Shape, _frobenius_powers, _gcd_shape
 from .modmath import MAX_MODULUS, PrimeLike, primes_in_range, require_prime
 from .quadform import Representation, _cornacchia, _representations
 
@@ -101,11 +101,6 @@ class ScanReport:
         return sum(self.class_counts.values())
 
     @property
-    def identity_density(self) -> float:
-        n = self.n_primes
-        return self.class_counts[FrobeniusClass.IDENTITY] / n if n else 0.0
-
-    @property
     def status(self) -> str:
         """"OK" when the violations stay inside the known exceptions, else "FAILED"."""
         return "OK" if KNOWN_EXCEPTIONS.issuperset(self.violations) else "FAILED"
@@ -147,7 +142,8 @@ def _log(level: str, msg: str, *args) -> None:
 def verdict(p: PrimeLike) -> VerdictRecord:
     """Compute the full per-prime record for one prime."""
     pv = require_prime(p)
-    return _record(pv, *_frobenius_power(pv), _cornacchia(pv))
+    _, xp, shape = next(_frobenius_powers((pv,)))
+    return _record(pv, xp, shape, _cornacchia(pv))
 
 
 def _record(p: int, xp: tuple[int, int, int], shape: Shape,
@@ -185,16 +181,10 @@ def _itself(rec: VerdictRecord) -> VerdictRecord:
     return rec
 
 
-def _chunk_classes(bounds: tuple[int, int]) -> list[tuple[int, FrobeniusClass, bool]]:
-    # (p, class by the gcd classifier, p | T_{p-1} by trib_mod) for obstruction_check;
-    # the class needs the degree of gcd(f, x^p - x) only, never the roots
-    from .tribonacci import trib_mod  # imported here: a scan never loads it
-
-    lo, hi = bounds
-    return [
-        (p, _gcd_shape(p)[0].frobenius_class, trib_mod(p - 1, p) == 0)
-        for p in primes_in_range(lo, hi)
-    ]
+def _check_range(lo: int, hi: int) -> None:
+    # raise ValueError unless [lo, hi) lies in the domain; called before any sieving
+    if not 2 <= lo <= hi <= MAX_MODULUS:
+        raise ValueError(f"need 2 <= lo <= hi <= 2**63, got [{lo}, {hi})")
 
 
 def _map_chunks(chunk_fn, lo: int, hi: int, workers: int) -> Iterator:
@@ -204,8 +194,7 @@ def _map_chunks(chunk_fn, lo: int, hi: int, workers: int) -> Iterator:
     is computed or any pool exists, and at most one worker per chunk and
     per CPU is started.  A result's len() is its chunk's count of primes.
     """
-    if not 2 <= lo <= hi <= MAX_MODULUS:
-        raise ValueError(f"need 2 <= lo <= hi <= 2**63, got [{lo}, {hi})")
+    _check_range(lo, hi)
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
     starts = range(lo, hi, _CHUNK)
@@ -245,16 +234,6 @@ def _counted(parts: Iterable, n_chunks: int) -> Iterator:
         yield part
 
 
-def verdicts(lo: int, hi: int, workers: int = 1) -> Iterator[VerdictRecord]:
-    """Verdicts for every prime in [lo, hi), ascending, computed as they are consumed.
-
-    The range and `workers` (at least 1) are checked when this is called;
-    a bad one raises ValueError.
-    """
-    return (rec for chunk in _map_chunks(partial(_chunk, _itself), lo, hi, workers)
-            for rec in chunk.rows)
-
-
 def scan(lo: int, hi: int, workers: int = 1) -> ScanReport:
     """Verdicts for every prime in [lo, hi), merged ascending and kept in `records`.
 
@@ -270,16 +249,18 @@ def scan(lo: int, hi: int, workers: int = 1) -> ScanReport:
     return report
 
 
-def obstruction_check(lo: int, hi: int, workers: int = 1) -> ObstructionReport:
+def obstruction_check(lo: int, hi: int) -> ObstructionReport:
     """Check the per-class divisibility obstructions over [lo, hi).
 
     Identity-class primes must divide T_{p-1}; a transposition-class
     prime may do so only if it divides 38; a 3-cycle-class prime p > 2
     never does.  Ramified primes carry no class and are only counted.
+    A range outside [2, 2^63] raises ValueError before any sieving.
 
-    This pass does not reuse the scan's verdicts.  It classifies with the
-    gcd classifier behind `splitting_type`, which reads the class from the
-    degree of gcd(f, x^p - x) and looks for no roots, takes the residue
+    The check runs in this process, one prime at a time, and does not
+    reuse the scan's verdicts.  It classifies with the gcd classifier
+    behind `splitting_type`, which reads the class from the degree of
+    gcd(f, x^p - x) and looks for no roots, takes the residue
     from `trib_mod`, and runs no Cornacchia.  "Identity => p | T_{p-1}"
     holds here by construction: `trib_mod` and the classifier each take
     x^p from the per-prime ladder `_xpow`, and x^p = x leaves T_{p-1},
@@ -291,9 +272,14 @@ def obstruction_check(lo: int, hi: int, workers: int = 1) -> ObstructionReport:
     prime gaps with its p mod 11 rule, against the per-prime ladder and
     gcd here.
     """
+    _check_range(lo, hi)
+    from .tribonacci import trib_mod  # imported here: a scan never loads it
+
     checked = {cls: 0 for cls in FrobeniusClass}
     failures: list[tuple[int, str]] = []
-    for p, cls, divisible in chain.from_iterable(_map_chunks(_chunk_classes, lo, hi, workers)):
+    for p in primes_in_range(lo, hi):
+        cls = _gcd_shape(p)[0].frobenius_class  # the gcd's degree only, never the roots
+        divisible = trib_mod(p - 1, p) == 0
         checked[cls] += 1
         if cls is FrobeniusClass.IDENTITY:
             if not divisible:

@@ -105,7 +105,7 @@ def test_criterion_05_frobenius_reduction_identity():
 
 
 def test_criterion_06_proof_obstructions(million_scan):
-    report = obstruction_check(2, MILLION, workers=1)
+    report = obstruction_check(2, MILLION)
     assert report.status == "OK"
     assert report.failures == []
     assert report.checked == million_scan.class_counts
@@ -158,7 +158,6 @@ def test_criterion_09_class_densities(million_scan):
         freq = counts[cls] / n
         freqs[cls.value] = round(freq, 4)
         assert abs(freq - target) <= 0.02, (cls, freq)
-    assert abs(million_scan.identity_density - counts[FrobeniusClass.IDENTITY] / n) < 1e-12
     _pass(9, f"class frequencies within 0.02 of 1/6, 1/2, 1/3: {freqs}")
 
 

@@ -10,9 +10,9 @@ from trib11.gfext import (
     FrobeniusClass,
     RamifiedPrime,
     Shape,
+    _frobenius_powers,
     _xpow,
     frobenius_orbit,
-    frobenius_power,
     splitting_type,
 )
 from trib11.modmath import ModPrime, NotPrime, is_prime
@@ -183,16 +183,16 @@ def test_frobenius_power_examples():
         19: Shape.ONE_ROOT_PLUS_IRREDUCIBLE_QUADRATIC,
         47: Shape.THREE_DISTINCT_ROOTS,
     }
+    xps = {}
     for p, shape in cases.items():
-        xp, got = frobenius_power(p)
+        q, xps[p], got = next(_frobenius_powers((p,)))  # the batch of one
+        assert q == p
         assert got is shape is splitting_type(p).shape, p
-        assert xp == (_cubic_ring(p).gen() ** p).coeffs
+        assert xps[p] == (_cubic_ring(p).gen() ** p).coeffs
     # the x^2 coefficient of x^p is T_{p-1} mod p: T_10 = 149, T_18 = 19*1027
-    assert frobenius_power(11)[0][2] == 149 % 11
-    assert frobenius_power(19)[0][2] == 0
-    assert frobenius_power(47)[0] == X
-    with pytest.raises(NotPrime):
-        frobenius_power(10)
+    assert xps[11][2] == 149 % 11
+    assert xps[19][2] == 0
+    assert xps[47] == X
 
 
 def test_splitting_matches_sympy_factorization():

@@ -26,7 +26,6 @@ from trib11.gfext import (
     _gcd_shape,
     _xpow,
     frobenius_orbit,
-    frobenius_power,
     splitting_type,
 )
 from trib11.modmath import (
@@ -40,7 +39,7 @@ from trib11.modmath import (
 )
 from trib11.quadform import _MARKED, _representations, represent
 from trib11.tribonacci import QuotientRing, trib_mod
-from trib11.verifier import _CHUNK
+from trib11.verifier import _CHUNK, verdict
 
 from oracles import trial_primes, trib_list_mod
 
@@ -89,7 +88,7 @@ def test_xpow_matches_quotient_ring_power(n, ma):
 def test_mod_11_classifier_is_the_legendre_symbol(p):
     even = jacobi(-11, p) == 1
     assert (p % 11 in _SQUARES_MOD_11) == even
-    _, shape = frobenius_power(ModPrime(p))
+    shape = verdict(ModPrime(p)).splitting
     assert (shape in (Shape.THREE_DISTINCT_ROOTS, Shape.IRREDUCIBLE)) == even
 
 
@@ -102,7 +101,7 @@ def test_trib_mod_matches_iteration(n, m):
 @reproducible
 @given(p=primes)
 def test_fused_classifier_matches_gcd_and_orbit(p):
-    _, shape = frobenius_power(ModPrime(p))
+    shape = verdict(ModPrime(p)).splitting
     assert shape is splitting_type(ModPrime(p)).shape
     if p != 11:
         assert shape is _ORBIT_SHAPE[frobenius_orbit(ModPrime(p))]
@@ -233,7 +232,7 @@ def test_representable_iff_three_distinct_roots(p):
     if rep.exists:
         assert rep.x**2 + 11 * rep.y**2 == p
     if p != 11:
-        _, shape = frobenius_power(ModPrime(p))
+        shape = verdict(ModPrime(p)).splitting
         assert rep.exists == (shape is Shape.THREE_DISTINCT_ROOTS)
 
 

@@ -1,9 +1,10 @@
 import concurrent.futures
 import logging
+from functools import partial
 
 import pytest
 
-from trib11 import gfext, quadform, verifier
+from trib11 import cli, gfext, quadform, verifier
 from trib11.gfext import FrobeniusClass, Shape
 from trib11.modmath import MAX_MODULUS, NotPrime, primes_in_range
 from trib11.quadform import represent_bruteforce
@@ -12,7 +13,6 @@ from trib11.verifier import (
     obstruction_check,
     scan,
     verdict,
-    verdicts,
 )
 
 from oracles import naive_root_multiplicity, naive_roots, sieve_list, trib_list_mod
@@ -85,10 +85,10 @@ def test_verdict_matches_independent_oracles_below_5000():
     """Residue, shape and representation of the fused verdict, against brute force.
 
     Both per prime (`verdict`, a batch of one) and as a scan makes them
-    (`verdicts`, whose batches walk along the prime gaps).
+    (`scan`, whose batches walk along the prime gaps).
     """
     one_by_one = [verdict(p) for p in sieve_list(5000)]
-    batched = list(verdicts(2, 5000))
+    batched = scan(2, 5000).records
     assert [rec.p for rec in batched] == sieve_list(5000)
     for rec in one_by_one + batched:
         p = rec.p
@@ -141,7 +141,6 @@ def test_scan_empty_range():
     assert report.n_primes == 0
     assert report.violations == []
     assert report.status == "OK"
-    assert report.identity_density == 0.0
 
 
 def _no_sieve(lo, hi):
@@ -229,19 +228,18 @@ def test_parallel_scan_keeps_few_chunks_in_flight(serial_pools, monkeypatch):
     ahead = verifier._IN_FLIGHT * 2
     assert scan(2, 10_000, workers=2).records == scan(2, 10_000).records
     assert (serial_pools[0].submitted, serial_pools[0].peak) == (100, ahead)
-    # the first record of a huge range needs only the chunks submitted ahead of it
-    stream = verifier.verdicts(2, MAX_MODULUS, workers=2)
-    assert next(stream).p == 2
+    # the CLI's first chunk of a huge range needs only the chunks submitted ahead of it
+    stream = verifier._map_chunks(partial(cli._scan_chunk, "csv"), 2, MAX_MODULUS, 2)
+    assert next(stream).rows.startswith(b"2,")
     assert (serial_pools[1].submitted, serial_pools[1].peak) == (ahead + 1, ahead)
     stream.close()
 
 
 def test_worker_count_below_one_is_refused_at_once(serial_pools, monkeypatch):
     monkeypatch.setattr(verifier, "primes_in_range", _no_sieve)
-    for fn in (scan, verifier.verdicts, obstruction_check):
-        for workers in (0, -1):
-            with pytest.raises(ValueError, match=f"^need workers >= 1, got {workers}$"):
-                fn(2, 10**6, workers=workers)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match=f"^need workers >= 1, got {workers}$"):
+            scan(2, 10**6, workers=workers)
     assert serial_pools == []
 
 
