@@ -21,32 +21,22 @@ _SOURCES = {
     "KNOWN_EXCEPTIONS": "verifier",
     "MAX_MODULUS": "modmath",
     "ModPrime": "modmath",
-    "ModulusMismatch": "tribonacci",
     "NotPrime": "modmath",
-    "ObstructionReport": "verifier",
-    "QuotientRing": "tribonacci",
     "RAMIFIED_PRIMES": "gfext",
     "RamifiedPrime": "gfext",
     "Representation": "quadform",
-    "RingElement": "tribonacci",
-    "RootFormulaContext": "tribonacci",
     "ScanReport": "verifier",
     "Shape": "gfext",
     "SplittingType": "gfext",
     "VerdictRecord": "verifier",
     "build_root_context": "tribonacci",
     "frobenius_orbit": "gfext",
-    "frobenius_reduction_check": "tribonacci",
     "is_prime": "modmath",
-    "jacobi": "modmath",
-    "obstruction_check": "verifier",
     "primes_in_range": "modmath",
     "represent": "quadform",
     "represent_bruteforce": "quadform",
-    "require_prime": "modmath",
     "scan": "verifier",
     "splitting_type": "gfext",
-    "sqrt_mod": "modmath",
     "trib_exact": "tribonacci",
     "trib_mod": "tribonacci",
     "trib_via_roots": "tribonacci",

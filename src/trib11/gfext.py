@@ -13,8 +13,8 @@ primes whose product m reaches `_BATCH_BITS` bits share one ladder for
 x^q1 mod m, each later prime's x^q mod m is the one before times x^g
 for the gap g, and x^q mod m reduces to x^q mod q; `verifier.verdict`
 takes the batch of one.  `splitting_type`, `frobenius_orbit` and
-`tribonacci.trib_mod` take their powers prime by prime, so the tests and
-the obstruction check judge the batched walk by them.
+`tribonacci.trib_mod` take their powers prime by prime, so the tests
+judge the batched walk by them.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ class ModPrime:
 
     Construction checks only the range; it is meant for callers that
     already know the value is prime (e.g. consumers of the sieve).
-    `p` is read-only; two ModPrimes are equal when their primes are.
+    `p` is read-only.
     """
 
     __slots__ = ("_p",)
@@ -48,12 +48,6 @@ class ModPrime:
 
     def __repr__(self) -> str:
         return f"ModPrime(p={self._p})"
-
-    def __eq__(self, other: object) -> bool:
-        return self._p == other._p if type(other) is ModPrime else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._p)
 
 
 PrimeLike = Union[int, ModPrime]
@@ -93,22 +87,10 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def sqrt_mod(a: int, p: int) -> int | None:
-    """Square root of a modulo an odd prime p < 2**63, or None if a is a non-residue.
-
-    Returns the smaller of the two roots so results are reproducible.
-    Tonelli-Shanks in the general case, with the exponent shortcut for
-    p = 3 mod 4.  An even p raises InvalidModulus, and any other p that is
-    not a prime below 2**63 raises NotPrime: modulo a composite the
-    non-residue search may never end, or the "root" may not square to a.
-    """
-    if p < 3 or p % 2 == 0:
-        raise InvalidModulus(f"sqrt_mod needs an odd prime modulus, got {p}")
-    return _sqrt_mod(a, require_prime(p))
-
-
 def _sqrt_mod(a: int, p: int) -> int | None:
-    # sqrt_mod for a p already known to be an odd prime
+    # the smaller square root of a modulo an odd prime p, or None for a non-residue:
+    # Tonelli-Shanks, with the exponent shortcut for p = 3 mod 4.  p is not checked,
+    # and modulo a composite the non-residue search may never end.
     a %= p
     if a == 0:
         return 0

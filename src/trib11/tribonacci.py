@@ -179,9 +179,6 @@ class RingElement:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self) -> int:
-        return hash((self.ring.p, self.ring.modulus, self.coeffs))
-
     @property
     def is_constant(self) -> bool:
         return not any(self.coeffs[1:])
@@ -241,12 +238,6 @@ def build_root_context(p: PrimeLike) -> RootFormulaContext:
     return RootFormulaContext(pv, st.shape, ring, alpha, beta, gamma, delta)
 
 
-def _alternating_sum(ctx: RootFormulaContext, k: int) -> RingElement:
-    # alpha^k(beta-gamma) - beta^k(alpha-gamma) + gamma^k(alpha-beta) = delta * T_{k-1}
-    a, b, g = ctx.alpha, ctx.beta, ctx.gamma
-    return a**k * (b - g) - b**k * (a - g) + g**k * (a - b)
-
-
 def trib_via_roots(n: int, ctx: RootFormulaContext) -> int:
     """T_n mod p from the alternating root-power combination.
 
@@ -258,18 +249,7 @@ def trib_via_roots(n: int, ctx: RootFormulaContext) -> int:
     """
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
+    a, b, g, k = ctx.alpha, ctx.beta, ctx.gamma, n + 1
     inv_disc = ctx.ring.const(pow(DISCRIMINANT, -1, ctx.p))
-    return (_alternating_sum(ctx, n + 1) * ctx.delta * inv_disc).constant_value()
-
-
-def frobenius_reduction_check(p: PrimeLike) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Both sides of delta*T_{p-1} = alpha^p(beta-gamma) - beta^p(alpha-gamma) + gamma^p(alpha-beta).
-
-    The left side goes through `trib_mod`, the right side through ring
-    exponentiation of each root; the two coefficient tuples returned must
-    be equal at every unramified prime.
-    """
-    ctx = build_root_context(p)
-    pv = ctx.p
-    lhs = ctx.delta * ctx.ring.const(trib_mod(pv - 1, pv))
-    return lhs.coeffs, _alternating_sum(ctx, pv).coeffs
+    alternating = a**k * (b - g) - b**k * (a - g) + g**k * (a - b)
+    return (alternating * ctx.delta * inv_disc).constant_value()

@@ -28,7 +28,7 @@ from functools import partial
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
-from .gfext import FrobeniusClass, Shape, _frobenius_powers, _gcd_shape
+from .gfext import FrobeniusClass, Shape, _frobenius_powers
 from .modmath import MAX_MODULUS, PrimeLike, primes_in_range, require_prime
 from .quadform import Representation, _cornacchia, _representations
 
@@ -117,19 +117,6 @@ class ScanReport:
              self.lo, self.hi, self.n_primes, self.violations, self.status)
 
 
-class ObstructionReport(NamedTuple):
-    """Outcome of the per-class divisibility obstructions over a range."""
-
-    lo: int
-    hi: int
-    checked: dict[FrobeniusClass, int]
-    failures: list[tuple[int, str]]
-
-    @property
-    def status(self) -> str:
-        return "FAILED" if self.failures else "OK"
-
-
 def _log(level: str, msg: str, *args) -> None:
     # log to this module's logger at `level` ("info", "debug") if the process has
     # imported logging.  One that has not has no handler for the record, and Python's
@@ -181,12 +168,6 @@ def _itself(rec: VerdictRecord) -> VerdictRecord:
     return rec
 
 
-def _check_range(lo: int, hi: int) -> None:
-    # raise ValueError unless [lo, hi) lies in the domain; called before any sieving
-    if not 2 <= lo <= hi <= MAX_MODULUS:
-        raise ValueError(f"need 2 <= lo <= hi <= 2**63, got [{lo}, {hi})")
-
-
 def _map_chunks(chunk_fn, lo: int, hi: int, workers: int) -> Iterator:
     """chunk_fn over the fixed chunks of [lo, hi), its results streamed in order.
 
@@ -194,7 +175,8 @@ def _map_chunks(chunk_fn, lo: int, hi: int, workers: int) -> Iterator:
     is computed or any pool exists, and at most one worker per chunk and
     per CPU is started.  A result's len() is its chunk's count of primes.
     """
-    _check_range(lo, hi)
+    if not 2 <= lo <= hi <= MAX_MODULUS:
+        raise ValueError(f"need 2 <= lo <= hi <= 2**63, got [{lo}, {hi})")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
     starts = range(lo, hi, _CHUNK)
@@ -247,47 +229,3 @@ def scan(lo: int, hi: int, workers: int = 1) -> ScanReport:
         report.records += chunk.rows
     report.log_summary()
     return report
-
-
-def obstruction_check(lo: int, hi: int) -> ObstructionReport:
-    """Check the per-class divisibility obstructions over [lo, hi).
-
-    Identity-class primes must divide T_{p-1}; a transposition-class
-    prime may do so only if it divides 38; a 3-cycle-class prime p > 2
-    never does.  Ramified primes carry no class and are only counted.
-    A range outside [2, 2^63] raises ValueError before any sieving.
-
-    The check runs in this process, one prime at a time, and does not
-    reuse the scan's verdicts.  It classifies with the gcd classifier
-    behind `splitting_type`, which reads the class from the degree of
-    gcd(f, x^p - x) and looks for no roots, takes the residue
-    from `trib_mod`, and runs no Cornacchia.  "Identity => p | T_{p-1}"
-    holds here by construction: `trib_mod` and the classifier each take
-    x^p from the per-prime ladder `_xpow`, and x^p = x leaves T_{p-1},
-    the x^2 coefficient, at zero.
-    Independent coverage of the residue comes from acceptance criteria
-    04 (`trib_via_roots`), 05 (`frobenius_reduction_check`) and 08
-    (plain iteration).  Criterion 06 compares `checked` with a scan's
-    `class_counts` over [2, 10^6): the scan's batched walk along the
-    prime gaps with its p mod 11 rule, against the per-prime ladder and
-    gcd here.
-    """
-    _check_range(lo, hi)
-    from .tribonacci import trib_mod  # imported here: a scan never loads it
-
-    checked = {cls: 0 for cls in FrobeniusClass}
-    failures: list[tuple[int, str]] = []
-    for p in primes_in_range(lo, hi):
-        cls = _gcd_shape(p)[0].frobenius_class  # the gcd's degree only, never the roots
-        divisible = trib_mod(p - 1, p) == 0
-        checked[cls] += 1
-        if cls is FrobeniusClass.IDENTITY:
-            if not divisible:
-                failures.append((p, "split prime does not divide T_{p-1}"))
-        elif cls is FrobeniusClass.TRANSPOSITION:
-            if divisible and 38 % p != 0:
-                failures.append((p, "transposition prime divides T_{p-1} but not 38"))
-        elif cls is FrobeniusClass.THREE_CYCLE:
-            if p > 2 and divisible:
-                failures.append((p, "3-cycle prime divides T_{p-1}"))
-    return ObstructionReport(lo, hi, checked, failures)

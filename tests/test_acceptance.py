@@ -16,17 +16,12 @@ import pytest
 
 from trib11.cli import main, record_lines, summary_line
 from trib11.gfext import FrobeniusClass, Shape, splitting_type
-from trib11.modmath import ModPrime, is_prime, jacobi, primes_in_range, sqrt_mod
+from trib11.modmath import ModPrime, _sqrt_mod, is_prime, jacobi, primes_in_range
 from trib11.quadform import represent, represent_bruteforce
-from trib11.tribonacci import (
-    build_root_context,
-    frobenius_reduction_check,
-    trib_exact,
-    trib_mod,
-    trib_via_roots,
-)
-from trib11.verifier import ScanReport, obstruction_check, scan
+from trib11.tribonacci import build_root_context, trib_exact, trib_mod, trib_via_roots
+from trib11.verifier import ScanReport, scan
 
+from judges import frobenius_reduction_check, obstruction_check
 from oracles import sieve_list, trial_isprime, trib_list_exact
 
 MILLION = 10**6
@@ -128,7 +123,7 @@ def test_criterion_08_modular_arithmetic_suite():
         if p == 2:
             continue
         for a in range(p):
-            r = sqrt_mod(a, p)
+            r = _sqrt_mod(a, p)
             if r is None:
                 assert jacobi(a, p) == -1, (a, p)
             else:

@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import os
 import subprocess
@@ -18,6 +19,30 @@ def test_all_lists_exactly_the_public_names():
     }
     assert public == set(trib11.__all__)
     assert len(trib11.__all__) == len(set(trib11.__all__))
+
+
+#: names that only the tests call, each with the module it still imports from
+_TEST_ONLY = {
+    "ModulusMismatch": "trib11.tribonacci",
+    "QuotientRing": "trib11.tribonacci",
+    "RingElement": "trib11.tribonacci",
+    "RootFormulaContext": "trib11.tribonacci",
+    "jacobi": "trib11.modmath",
+    "require_prime": "trib11.modmath",
+    "_sqrt_mod": "trib11.modmath",  # what was the public sqrt_mod
+    "ObstructionReport": "judges",
+    "frobenius_reduction_check": "judges",
+    "obstruction_check": "judges",
+}
+
+
+def test_only_what_the_programs_call_is_exported():
+    assert len(trib11.__all__) == 30
+    gone = {name.lstrip("_") for name in _TEST_ONLY}
+    assert gone.isdisjoint(trib11.__all__)
+    assert gone.isdisjoint(dir(trib11))
+    for name, module in _TEST_ONLY.items():
+        assert hasattr(importlib.import_module(module), name), (module, name)
 
 
 def fresh_stdout(code):

@@ -7,7 +7,7 @@ per-prime ladder and gcd, the prime source against trial division and
 `is_prime`, `is_prime` above 2**32 against sympy's BPSW test, the sieve's
 own BPSW on its survivors above 2**38 against `is_prime` and sympy,
 Cornacchia against the splitting shape, a scan chunk's marks of the form's
-values below 2**33 against Cornacchia, and `sqrt_mod` near the top of the
+values below 2**33 against Cornacchia, and `_sqrt_mod` near the top of the
 domain.
 """
 
@@ -32,10 +32,10 @@ from trib11.modmath import (
     MAX_MODULUS,
     ModPrime,
     _bpsw,
+    _sqrt_mod,
     is_prime,
     jacobi,
     primes_in_range,
-    sqrt_mod,
 )
 from trib11.quadform import _MARKED, _representations, represent
 from trib11.tribonacci import QuotientRing, trib_mod
@@ -252,9 +252,9 @@ def test_marks_match_cornacchia_on_chunks_below_2_33(lo, width):
 @reproducible
 @given(p=st.integers(2**63 - 2**32, 2**63 - 25).map(_next_prime), a=st.integers(0, 2**64))
 def test_sqrt_mod_round_trips_near_2_63(p, a):
-    r = sqrt_mod(a, p)
+    r = _sqrt_mod(a, p)
     if r is None:
         assert jacobi(a, p) == -1
     else:
         assert r * r % p == a % p and r <= p - r
-    assert sqrt_mod(a * a, p) == min(a % p, p - a % p)
+    assert _sqrt_mod(a * a, p) == min(a % p, p - a % p)

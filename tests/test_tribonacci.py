@@ -6,12 +6,12 @@ from trib11.tribonacci import (
     EXACT_INDEX_LIMIT,
     IndexOutOfRange,
     build_root_context,
-    frobenius_reduction_check,
     trib_exact,
     trib_mod,
     trib_via_roots,
 )
 
+from judges import frobenius_reduction_check
 from oracles import sieve_list, trib_list_exact, trib_list_mod
 
 

@@ -8,13 +8,9 @@ from trib11 import cli, gfext, quadform, verifier
 from trib11.gfext import FrobeniusClass, Shape
 from trib11.modmath import MAX_MODULUS, NotPrime, primes_in_range
 from trib11.quadform import represent_bruteforce
-from trib11.verifier import (
-    KNOWN_EXCEPTIONS,
-    obstruction_check,
-    scan,
-    verdict,
-)
+from trib11.verifier import KNOWN_EXCEPTIONS, scan, verdict
 
+from judges import obstruction_check
 from oracles import naive_root_multiplicity, naive_roots, sieve_list, trib_list_mod
 
 
@@ -288,11 +284,3 @@ def test_obstruction_classes_find_no_roots(monkeypatch):
     report = obstruction_check(2, 2000)
     assert report.status == "OK"
     assert report.checked == scan(2, 2000).class_counts
-
-
-def test_obstruction_validates_range(monkeypatch):
-    with pytest.raises(ValueError):
-        obstruction_check(0, 10)
-    monkeypatch.setattr(verifier, "primes_in_range", _no_sieve)
-    with pytest.raises(ValueError):
-        obstruction_check(MAX_MODULUS - 10, MAX_MODULUS + 1)
