@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from functools import partial
 from typing import Iterable
 
@@ -102,8 +102,7 @@ def record_lines(records: Iterable[VerdictRecord], fmt: str) -> Iterable[str]:
 
 def _scan_chunk(fmt: str, bounds: tuple[int, int]) -> verifier._Chunk:
     # one chunk of `trib11 scan --format FMT`: its lines, each ended by a newline,
-    # as UTF-8 bytes, with its class counts and violations.  Module-level and
-    # bound to fmt by functools.partial, so that a pool pickles it by reference.
+    # as UTF-8 bytes, with its class counts and violations
     chunk = verifier._chunk(_format(fmt)[1], bounds)
     chunk.rows = "\n".join([*chunk.rows, ""]).encode()
     return chunk
@@ -126,7 +125,9 @@ def cmd_scan(start: int, stop: int, workers: int, fmt: str, out: str | None) -> 
     report = ScanReport(start, stop)
     header = _format(fmt)[0]
     chunks = verifier._map_chunks(partial(_scan_chunk, fmt), start, stop, workers)
-    with open(out, "wb") if out is not None else nullcontext(sys.stdout.buffer) as fh:
+    sink = open(out, "wb") if out is not None else nullcontext(sys.stdout.buffer)
+    # the stream is closed on leaving, so its workers end then, not when it is collected
+    with closing(chunks), sink as fh:
         if header is not None:
             fh.write(f"{header}\n".encode())
         for chunk in chunks:

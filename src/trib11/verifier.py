@@ -17,16 +17,25 @@ into fixed chunks, each chunk is processed by pure functions, and the
 results are merged back in ascending order.  They stream: chunks are
 computed as they are consumed, so any range of the domain runs in
 bounded memory.
+
+With W > 1 workers a scan forks W processes.  Worker i computes chunks
+i, i + W, i + 2W, ... and writes each result to its own pipe as one
+frame, an 8-byte length and a pickle; the parent reads chunk k from pipe
+k mod W.  A frame larger than the pipe's buffer holds its worker until
+the parent reads it, so at most about one finished chunk per worker
+waits.  A worker leaves only through `os._exit`.  The parent kills and
+reaps every worker when the stream ends, fails or is closed.  Call a
+scan with W > 1 from a process that runs no other thread, as with any
+fork.  Where `os.fork` does not exist, a scan runs in process.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from collections import deque
+from contextlib import closing
 from functools import partial
-from itertools import islice
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 from .gfext import FrobeniusClass, Shape, _frobenius_powers
 from .modmath import MAX_MODULUS, PrimeLike, primes_in_range, require_prime
@@ -38,8 +47,8 @@ KNOWN_EXCEPTIONS = frozenset({11, 19})
 #: chunk width for scans; fixed so results never depend on worker count
 _CHUNK = 1 << 15
 
-#: chunks per worker submitted ahead of the consumer; bounds a parallel scan's memory
-_IN_FLIGHT = 2
+#: POSIX's SIGKILL, which ends a scan's workers; the signal module is not loaded for it
+_SIGKILL = 9
 
 
 class VerdictRecord(NamedTuple):
@@ -172,18 +181,28 @@ def _map_chunks(chunk_fn, lo: int, hi: int, workers: int) -> Iterator:
     """chunk_fn over the fixed chunks of [lo, hi), its results streamed in order.
 
     The range and the worker count are checked at once, before any chunk
-    is computed or any pool exists, and at most one worker per chunk and
-    per CPU is started.  A result's len() is its chunk's count of primes.
+    is computed or any worker exists, and at most one worker per chunk and
+    per CPU is started, or none where the OS cannot fork.  A result's len()
+    is its chunk's count of primes.  Close the stream to end its workers
+    before it is exhausted.
     """
     if not 2 <= lo <= hi <= MAX_MODULUS:
         raise ValueError(f"need 2 <= lo <= hi <= 2**63, got [{lo}, {hi})")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
     starts = range(lo, hi, _CHUNK)
-    workers = min(workers, len(starts), _usable_cpus())
-    bounds = ((c, min(c + _CHUNK, hi)) for c in starts)
-    parts = map(chunk_fn, bounds) if workers <= 1 else _pooled(chunk_fn, bounds, workers)
+    workers = min(workers, len(starts), _usable_cpus() if hasattr(os, "fork") else 1)
+    if workers <= 1:
+        parts = map(chunk_fn, _bounds(starts, hi))
+    else:
+        stripes = [_bounds(starts[i::workers], hi) for i in range(workers)]
+        parts = _pooled(chunk_fn, stripes, len(starts))
     return _counted(parts, len(starts))
+
+
+def _bounds(starts: range, hi: int) -> Iterator[tuple[int, int]]:
+    # the chunks of [lo, hi) that begin at `starts`, lazily
+    return ((c, min(c + _CHUNK, hi)) for c in starts)
 
 
 def _usable_cpus() -> int:
@@ -195,25 +214,92 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pooled(chunk_fn, bounds: Iterator[tuple[int, int]], workers: int) -> Iterator:
-    # in order, with at most _IN_FLIGHT chunks per worker submitted and not yet consumed;
-    # concurrent.futures, and multiprocessing with it, is imported only here
-    from concurrent.futures import ProcessPoolExecutor
+def _pooled(chunk_fn, stripes: list[Iterator[tuple[int, int]]], n_chunks: int) -> Iterator:
+    # the n_chunks results in order, chunk k from worker k mod W, where worker i is
+    # forked to compute the chunks of stripes[i]; pickle is imported only here
+    import pickle  # noqa: F401  (before the forks, so that no worker imports it)
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = deque(pool.submit(chunk_fn, b) for b in islice(bounds, _IN_FLIGHT * workers))
-        while pending:
-            part = pending.popleft().result()
-            pending.extend(pool.submit(chunk_fn, b) for b in islice(bounds, 1))  # the next, if any
-            yield part
+    pids, pipes = [], []
+    try:
+        for stripe in stripes:
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            with open(write_end, "wb") as out:  # the parent's copy closes on leaving
+                pid = os.fork()
+                if pid == 0:
+                    _work(chunk_fn, stripe, out, pipes)
+            pids.append(pid)
+        for k in range(n_chunks):
+            yield _receive(pipes[k % len(pipes)], k)
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        # signalled before reaped, so no pid can be reused in between
+        for pid in pids:
+            os.kill(pid, _SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _work(chunk_fn, stripe: Iterator[tuple[int, int]], out, read_ends) -> NoReturn:
+    # a forked worker: one frame per chunk of its stripe until one raises.  It
+    # closes the pipes' read ends it inherited, so that it meets EPIPE once the
+    # parent is gone, and it leaves only through os._exit, so it runs none of
+    # the parent's finally blocks or atexit hooks and flushes no inherited buffer.
+    code = 1
+    try:
+        for pipe in read_ends:
+            pipe.close()
+        for bounds in stripe:
+            if not _send(out, chunk_fn, bounds):
+                break
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _send(out, chunk_fn, bounds: tuple[int, int]) -> bool:
+    # write chunk_fn(bounds), or the exception it raised, as one frame; False
+    # after an exception
+    import pickle
+
+    try:
+        frame, ok = pickle.dumps((None, chunk_fn(bounds))), True
+    except Exception as exc:
+        frame, ok = pickle.dumps((exc, None)), False
+    out.write(len(frame).to_bytes(8, "little"))
+    out.write(frame)
+    out.flush()
+    return ok
+
+
+def _receive(pipe, k: int):
+    # chunk k's result from its frame, or the exception it raised in its worker
+    import pickle
+
+    head = pipe.read(8)
+    size = int.from_bytes(head, "little")
+    frame = pipe.read(size)  # at the end of the pipe, b"" at once
+    if len(head) < 8 or len(frame) < size:
+        raise ChildProcessError(f"a scan worker ended before sending chunk {k}")
+    error, part = pickle.loads(frame)
+    if error is not None:
+        raise error
+    return part
 
 
 def _counted(parts: Iterable, n_chunks: int) -> Iterator:
+    # parts, with a debug line per chunk; closing this stream closes parts, and
+    # with them a pool's workers
     n = 0
-    for i, part in enumerate(parts, 1):
-        n += len(part)
-        _log("debug", "chunk %d/%d done (%d primes so far)", i, n_chunks, n)
-        yield part
+    try:
+        for i, part in enumerate(parts, 1):
+            n += len(part)
+            _log("debug", "chunk %d/%d done (%d primes so far)", i, n_chunks, n)
+            yield part
+    finally:
+        if hasattr(parts, "close"):
+            parts.close()
 
 
 def scan(lo: int, hi: int, workers: int = 1) -> ScanReport:
@@ -224,8 +310,9 @@ def scan(lo: int, hi: int, workers: int = 1) -> ScanReport:
     and are reported, not suppressed.
     """
     report = ScanReport(lo, hi)
-    for chunk in _map_chunks(partial(_chunk, _itself), lo, hi, workers):
-        report.add(chunk)
-        report.records += chunk.rows
+    with closing(_map_chunks(partial(_chunk, _itself), lo, hi, workers)) as chunks:
+        for chunk in chunks:
+            report.add(chunk)
+            report.records += chunk.rows
     report.log_summary()
     return report

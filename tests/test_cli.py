@@ -16,7 +16,7 @@ import pytest
 import trib11
 from trib11.cli import _csv_line, _jsonl_obj, _row, _scan_chunk, main, record_lines, summary_line
 from trib11.modmath import MAX_MODULUS, is_prime
-from trib11.verifier import _usable_cpus, scan, verdict
+from trib11.verifier import scan, verdict
 
 from oracles import sieve_list, trib_list_exact
 
@@ -381,6 +381,7 @@ def capped_child(*args):
         yield proc
     finally:
         watchdog.cancel()
+        watchdog.join()  # no thread outlives the block, so a later test forks none
         _kill_group(proc)
         proc.communicate()
 
@@ -408,9 +409,9 @@ def test_cli_runs_on_the_standard_library_alone():
     assert proc.stdout.splitlines()[-1] == "violations: [11, 19]"
 
 
-#: modules a one-worker scan has no use for
+#: modules a scan has no use for
 _NOT_FOR_A_SCAN = ("dataclasses", "logging", "concurrent.futures", "multiprocessing",
-                   "trib11.tribonacci")
+                   "threading", "trib11.tribonacci")
 
 
 def loaded_by(*args):
@@ -433,10 +434,8 @@ def loaded_by(*args):
 def test_a_scan_imports_only_what_it_runs(monkeypatch):
     monkeypatch.delenv("TRIB_LOG", raising=False)
     assert loaded_by("scan", "--to", "100", "--format", "csv") == []
-    # three chunks on two workers: only a pool loads concurrent.futures, which
-    # brings logging and multiprocessing with it
-    pooled = ["logging", "concurrent.futures", "multiprocessing"] if _usable_cpus() > 1 else []
-    assert loaded_by("scan", "--to", "70000", "--format", "csv", "--workers", "2") == pooled
+    # three chunks on two forked workers, which load only pickle
+    assert loaded_by("scan", "--to", "70000", "--format", "csv", "--workers", "2") == []
     assert loaded_by("trib", "10") == ["trib11.tribonacci"]
 
 
@@ -477,6 +476,40 @@ def test_closed_stdout_ends_the_scan_quietly():
         err = proc.communicate()[1]
         assert head == [f"{line}\n" for line in islice(record_lines(scan(2, 10).records, "csv"), 3)]
         assert (proc.returncode, err) == (1, "")
+        assert not _kill_group(proc)
+
+
+def test_ctrl_c_ends_the_scan_and_its_workers():
+    # SIGINT to the whole group, as a terminal sends it: the command dies of it
+    # and reaps its workers on the way
+    with capped_child(
+        "-m", "trib11", "scan", "--to", str(2**62), "--workers", "2", "--format", "csv",
+    ) as proc:
+        assert len(list(islice(proc.stdout, 3))) == 3
+        os.killpg(proc.pid, signal.SIGINT)
+        proc.communicate()
+        assert proc.returncode == -signal.SIGINT
+        assert not _kill_group(proc)
+
+
+def test_a_worker_that_dies_is_one_error_line():
+    # two workers, each killed by its first chunk after [2, 2 + 2**15)
+    code = (
+        "import os, signal, sys\n"
+        "from trib11 import cli, verifier\n"
+        "scan_chunk = cli._scan_chunk\n"
+        "def dies(fmt, bounds):\n"
+        "    if bounds[0] != 2:\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return scan_chunk(fmt, bounds)\n"
+        "cli._scan_chunk = dies\n"
+        "verifier._usable_cpus = lambda: 2\n"
+        "sys.exit(cli.main(['scan', '--to', '200000', '--workers', '2', '--format', 'csv']))\n"
+    )
+    with capped_child("-c", code) as proc:
+        out, err = proc.communicate()
+        assert (proc.returncode, err) == (1, "error: a scan worker ended before sending chunk 1\n")
+        assert out.startswith(f"{CSV_HEADER}\n2,")
         assert not _kill_group(proc)
 
 

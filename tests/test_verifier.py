@@ -1,5 +1,7 @@
-import concurrent.futures
 import logging
+import os
+import signal
+import time
 from functools import partial
 
 import pytest
@@ -155,41 +157,19 @@ def test_scan_validates_range(monkeypatch):
         scan(MAX_MODULUS - 10, MAX_MODULUS + 1)
 
 
-class _Deferred:
-    # a future whose chunk runs in-process when its result is read
-    def __init__(self, pool, fn, arg):
-        self.pool, self.fn, self.arg = pool, fn, arg
-
-    def result(self):
-        self.pool.in_flight -= 1
-        return self.fn(self.arg)
-
-
 @pytest.fixture
-def serial_pools(monkeypatch):
-    """Stand-in for ProcessPoolExecutor that starts no process; the pools made, in order."""
-    pools = []
+def pools(monkeypatch):
+    """Stand-in for verifier._pooled that forks nothing; each pool's worker count, in order."""
+    made = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-            self.submitted = self.in_flight = self.peak = 0
-            pools.append(self)
+    def serial_pool(chunk_fn, stripes, n_chunks):
+        # chunk k from stripe k mod W, as the forked workers send them
+        made.append(len(stripes))
+        parts = [map(chunk_fn, stripe) for stripe in stripes]
+        return (next(parts[k % len(parts)]) for k in range(n_chunks))
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, arg):
-            self.submitted += 1
-            self.in_flight += 1
-            self.peak = max(self.peak, self.in_flight)
-            return _Deferred(self, fn, arg)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    return pools
+    monkeypatch.setattr(verifier, "_pooled", serial_pool)
+    return made
 
 
 def _allow_cpus(monkeypatch, n: int) -> None:
@@ -198,45 +178,127 @@ def _allow_cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(verifier.os, "cpu_count", lambda: n + 4)
 
 
-def test_scan_worker_count_is_clamped(serial_pools, monkeypatch):
+def test_scan_worker_count_is_clamped(pools, monkeypatch):
     monkeypatch.setattr(verifier, "_CHUNK", 100)
     _allow_cpus(monkeypatch, 4)
     serial = scan(2, 1000).records
-    assert serial_pools == []
+    assert pools == []
     assert scan(2, 1000, workers=100_000).records == serial  # 10 chunks, 4 CPUs
     assert scan(2, 250, workers=100_000).records == serial[:53]  # 3 chunks
     assert scan(2, 1000, workers=2).records == serial
-    assert [pool.max_workers for pool in serial_pools] == [4, 3, 2]
+    assert pools == [4, 3, 2]
     _allow_cpus(monkeypatch, 1)  # pinned to one CPU of many: one worker
     assert scan(2, 1000, workers=2).records == serial
-    assert len(serial_pools) == 3
+    assert len(pools) == 3
     monkeypatch.delattr(verifier.os, "sched_getaffinity", raising=False)  # no affinity API
     assert scan(2, 1000, workers=100_000).records == serial
-    assert [pool.max_workers for pool in serial_pools] == [4, 3, 2, 5]
+    assert pools == [4, 3, 2, 5]
     monkeypatch.setattr(verifier.os, "cpu_count", lambda: None)  # unknown: one worker
     assert scan(2, 1000, workers=100_000).records == serial
-    assert len(serial_pools) == 4
+    assert len(pools) == 4
 
 
-def test_parallel_scan_keeps_few_chunks_in_flight(serial_pools, monkeypatch):
+def test_without_fork_a_parallel_scan_runs_in_process(monkeypatch):
     monkeypatch.setattr(verifier, "_CHUNK", 100)
     _allow_cpus(monkeypatch, 2)
-    ahead = verifier._IN_FLIGHT * 2
-    assert scan(2, 10_000, workers=2).records == scan(2, 10_000).records
-    assert (serial_pools[0].submitted, serial_pools[0].peak) == (100, ahead)
-    # the CLI's first chunk of a huge range needs only the chunks submitted ahead of it
+    serial = scan(2, 1000).records
+    monkeypatch.delattr(os, "fork")
+    assert scan(2, 1000, workers=2).records == serial
+
+
+def _settled(path, quiet=0.5, limit=60.0):
+    # path's lines once they have not changed for `quiet` seconds (at most `limit`)
+    deadline = time.monotonic() + limit
+    last, since = None, time.monotonic()
+    while time.monotonic() < deadline:
+        text = path.read_text() if path.exists() else ""
+        if text != last:
+            last, since = text, time.monotonic()
+        elif time.monotonic() - since >= quiet:
+            break
+        time.sleep(0.05)
+    return last.split()
+
+
+def _no_child_left():
+    # every child of this process has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_parallel_scan_keeps_few_chunks_in_flight(monkeypatch, tmp_path):
+    monkeypatch.setattr(verifier, "_CHUNK", 100)
+    _allow_cpus(monkeypatch, 2)
+    log = tmp_path / "starts"
+
+    def logged(bounds):
+        # logs its chunk, then returns a result larger than a pipe's buffer
+        with open(log, "a") as f:
+            f.write(f"{(bounds[0] - 2) // 100}\n")
+        return bytes(1 << 20)
+
+    stream = verifier._map_chunks(logged, 2, MAX_MODULUS, 2)
+    try:
+        assert next(stream) == bytes(1 << 20)
+        started = sorted(map(int, _settled(log)))
+    finally:
+        stream.close()
+    _no_child_left()
+    # worker 0 sent chunk 0 and may have begun chunk 2; worker 1 waits to send chunk 1
+    assert started[:2] == [0, 1]
+    assert set(started) <= {0, 1, 2}
+
+
+def test_an_exception_in_a_worker_is_raised_at_its_chunk(monkeypatch):
+    monkeypatch.setattr(verifier, "_CHUNK", 100)
+    _allow_cpus(monkeypatch, 2)
+
+    def fails_on_3(bounds):
+        k = (bounds[0] - 2) // 100
+        if k == 3:
+            raise ZeroDivisionError(f"chunk {k}")
+        return [k]
+
+    stream = verifier._map_chunks(fails_on_3, 2, 10_000, 2)
+    assert [next(stream) for _ in range(3)] == [[0], [1], [2]]
+    with pytest.raises(ZeroDivisionError, match="^chunk 3$"):
+        next(stream)
+    _no_child_left()
+
+
+def test_a_worker_that_dies_fails_the_scan(monkeypatch):
+    monkeypatch.setattr(verifier, "_CHUNK", 100)
+    _allow_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def dies_after_chunk_0(bounds):
+        # worker 1 dies on chunk 1, worker 0 on chunk 2, once chunk 0 is sent
+        if bounds[0] != 2 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return [bounds]
+
+    stream = verifier._map_chunks(dies_after_chunk_0, 2, 10_000, 2)
+    assert next(stream) == [(2, 102)]
+    with pytest.raises(ChildProcessError, match="^a scan worker ended before sending chunk 1$"):
+        next(stream)
+    _no_child_left()
+
+
+def test_closing_a_parallel_scan_reaps_its_workers(monkeypatch):
+    _allow_cpus(monkeypatch, 2)
+    # the CLI's first chunk of [2, 2**63) from two workers, then no more
     stream = verifier._map_chunks(partial(cli._scan_chunk, "csv"), 2, MAX_MODULUS, 2)
     assert next(stream).rows.startswith(b"2,")
-    assert (serial_pools[1].submitted, serial_pools[1].peak) == (ahead + 1, ahead)
     stream.close()
+    _no_child_left()
 
 
-def test_worker_count_below_one_is_refused_at_once(serial_pools, monkeypatch):
+def test_worker_count_below_one_is_refused_at_once(pools, monkeypatch):
     monkeypatch.setattr(verifier, "primes_in_range", _no_sieve)
     for workers in (0, -1):
         with pytest.raises(ValueError, match=f"^need workers >= 1, got {workers}$"):
             scan(2, 10**6, workers=workers)
-    assert serial_pools == []
+    assert pools == []
 
 
 def test_scan_summary_reaches_a_caller_that_configured_logging(caplog):
