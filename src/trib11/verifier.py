@@ -216,8 +216,8 @@ def _usable_cpus() -> int:
 
 def _pooled(chunk_fn, stripes: list[Iterator[tuple[int, int]]], n_chunks: int) -> Iterator:
     # the n_chunks results in order, chunk k from worker k mod W, where worker i is
-    # forked to compute the chunks of stripes[i]; pickle is imported only here
-    import pickle  # noqa: F401  (before the forks, so that no worker imports it)
+    # forked to compute the chunks of stripes[i]
+    import pickle  # noqa: F401  (loaded before the forks, so that no worker loads it)
 
     pids, pipes = [], []
     try:
