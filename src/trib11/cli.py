@@ -100,12 +100,11 @@ def record_lines(records: Iterable[VerdictRecord], fmt: str) -> Iterable[str]:
     yield from map(line, records)
 
 
-def _scan_chunk(fmt: str, bounds: tuple[int, int]) -> verifier._Chunk:
+def _scan_chunk(fmt: str, bounds: tuple[int, int]) -> tuple[bytes, dict, list[int]]:
     # one chunk of `trib11 scan --format FMT`: its lines, each ended by a newline,
     # as UTF-8 bytes, with its class counts and violations
-    chunk = verifier._chunk(_format(fmt)[1], bounds)
-    chunk.rows = "\n".join([*chunk.rows, ""]).encode()
-    return chunk
+    lines, class_counts, violations = verifier._chunk(_format(fmt)[1], bounds)
+    return "\n".join([*lines, ""]).encode(), class_counts, violations
 
 
 def summary_line(report: ScanReport) -> str:
@@ -127,13 +126,11 @@ def cmd_scan(start: int, stop: int, workers: int, fmt: str, out: str | None) -> 
     chunks = verifier._map_chunks(partial(_scan_chunk, fmt), start, stop, workers)
     sink = open(out, "wb") if out is not None else nullcontext(sys.stdout.buffer)
     # the stream is closed on leaving, so its workers end then, not when it is collected
-    with closing(chunks), sink as fh:
+    with closing(verifier._tally(report, chunks)) as rows, sink as fh:
         if header is not None:
             fh.write(f"{header}\n".encode())
-        for chunk in chunks:
-            fh.write(chunk.rows)
-            report.add(chunk)
-    report.log_summary()
+        for part in rows:
+            fh.write(part)
     print(summary_line(report))
     return 0 if report.status == "OK" else 2
 
@@ -256,6 +253,18 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        # Ctrl-C: keep the lines already rendered, then die of SIGINT, as a shell
+        # expects of an interrupted command, with no traceback
+        try:
+            sys.stdout.flush()
+        except OSError:
+            pass
+        import signal
+
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
+        raise  # only where the signal did not end the process
 
 
 def _command(argv: list[str] | None) -> int:

@@ -20,13 +20,13 @@ bounded memory.
 
 With W > 1 workers a scan forks W processes.  Worker i computes chunks
 i, i + W, i + 2W, ... and writes each result to its own pipe as one
-frame, an 8-byte length and a pickle; the parent reads chunk k from pipe
-k mod W.  A frame larger than the pipe's buffer holds its worker until
-the parent reads it, so at most about one finished chunk per worker
-waits.  A worker leaves only through `os._exit`.  The parent kills and
-reaps every worker when the stream ends, fails or is closed.  Call a
-scan with W > 1 from a process that runs no other thread, as with any
-fork.  Where `os.fork` does not exist, a scan runs in process.
+pickle, which frames itself; the parent reads chunk k from pipe k mod W.
+A pickle larger than the pipe's buffer holds its worker until the parent
+reads it, so at most about one finished chunk per worker waits.  A
+worker leaves only through `os._exit`.  The parent kills and reaps every
+worker when the stream ends, fails or is closed.  Call a scan with W > 1
+from a process that runs no other thread, as with any fork.  Where
+`os.fork` does not exist, a scan runs in process.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import os
 import sys
 from contextlib import closing
 from functools import partial
-from typing import Iterable, Iterator, NamedTuple, NoReturn
+from typing import Iterator, NamedTuple, NoReturn
 
 from .gfext import FrobeniusClass, Shape, _frobenius_powers
 from .modmath import MAX_MODULUS, PrimeLike, primes_in_range, require_prime
@@ -70,26 +70,6 @@ class VerdictRecord(NamedTuple):
     exceptional: bool
 
 
-class _Chunk:
-    """One chunk of a scan: its rows, in order, with its class counts and violations.
-
-    The rows are the chunk's records, or the CLI's rendered lines, which
-    it joins into one UTF-8 bytes object before the chunk leaves its worker.
-    """
-
-    __slots__ = ("rows", "class_counts", "violations")
-
-    def __init__(self, rows, class_counts: dict[FrobeniusClass, int],
-                 violations: list[int]) -> None:
-        self.rows = rows
-        self.class_counts = class_counts
-        self.violations = violations
-
-    def __len__(self) -> int:
-        # the chunk's primes, which the debug log counts
-        return sum(self.class_counts.values())
-
-
 class ScanReport:
     """Counts over the verdicts of [lo, hi), summed chunk by chunk.
 
@@ -113,17 +93,6 @@ class ScanReport:
     def status(self) -> str:
         """"OK" when the violations stay inside the known exceptions, else "FAILED"."""
         return "OK" if KNOWN_EXCEPTIONS.issuperset(self.violations) else "FAILED"
-
-    def add(self, chunk: _Chunk) -> None:
-        """Add a chunk's class counts and violations to the report's."""
-        for cls, n in chunk.class_counts.items():
-            self.class_counts[cls] += n
-        self.violations += chunk.violations
-
-    def log_summary(self) -> None:
-        """Log the report's one-line summary at INFO."""
-        _log("info", "scan [%d, %d): %d primes, violations %s, status %s",
-             self.lo, self.hi, self.n_primes, self.violations, self.status)
 
 
 def _log(level: str, msg: str, *args) -> None:
@@ -155,9 +124,9 @@ def _record(p: int, xp: tuple[int, int, int], shape: Shape,
                          shape, shape.frobenius_class, consistent, not consistent)
 
 
-def _chunk(row, bounds: tuple[int, int]) -> _Chunk:
-    # row(record) for each prime of the chunk, ascending, with the chunk's class
-    # counts and violations: the one place a scan counts them
+def _chunk(row, bounds: tuple[int, int]) -> tuple[list, dict[FrobeniusClass, int], list[int]]:
+    # (rows, class counts, violations) of the chunk: row(record) for each of its
+    # primes, ascending; the one place a scan counts them
     lo, hi = bounds
     rows = []
     class_counts = dict.fromkeys(FrobeniusClass, 0)
@@ -169,7 +138,7 @@ def _chunk(row, bounds: tuple[int, int]) -> _Chunk:
         if rec.exceptional:
             violations.append(p)
         rows.append(row(rec))
-    return _Chunk(rows, class_counts, violations)
+    return rows, class_counts, violations
 
 
 def _itself(rec: VerdictRecord) -> VerdictRecord:
@@ -182,9 +151,8 @@ def _map_chunks(chunk_fn, lo: int, hi: int, workers: int) -> Iterator:
 
     The range and the worker count are checked at once, before any chunk
     is computed or any worker exists, and at most one worker per chunk and
-    per CPU is started, or none where the OS cannot fork.  A result's len()
-    is its chunk's count of primes.  Close the stream to end its workers
-    before it is exhausted.
+    per CPU is started, or none where the OS cannot fork.  The stream is a
+    generator: close it to end its workers before it is exhausted.
     """
     if not 2 <= lo <= hi <= MAX_MODULUS:
         raise ValueError(f"need 2 <= lo <= hi <= 2**63, got [{lo}, {hi})")
@@ -193,11 +161,9 @@ def _map_chunks(chunk_fn, lo: int, hi: int, workers: int) -> Iterator:
     starts = range(lo, hi, _CHUNK)
     workers = min(workers, len(starts), _usable_cpus() if hasattr(os, "fork") else 1)
     if workers <= 1:
-        parts = map(chunk_fn, _bounds(starts, hi))
-    else:
-        stripes = [_bounds(starts[i::workers], hi) for i in range(workers)]
-        parts = _pooled(chunk_fn, stripes, len(starts))
-    return _counted(parts, len(starts))
+        return (chunk_fn(bounds) for bounds in _bounds(starts, hi))
+    stripes = [_bounds(starts[i::workers], hi) for i in range(workers)]
+    return _pooled(chunk_fn, stripes, len(starts))
 
 
 def _bounds(starts: range, hi: int) -> Iterator[tuple[int, int]]:
@@ -242,64 +208,60 @@ def _pooled(chunk_fn, stripes: list[Iterator[tuple[int, int]]], n_chunks: int) -
 
 
 def _work(chunk_fn, stripe: Iterator[tuple[int, int]], out, read_ends) -> NoReturn:
-    # a forked worker: one frame per chunk of its stripe until one raises.  It
-    # closes the pipes' read ends it inherited, so that it meets EPIPE once the
-    # parent is gone, and it leaves only through os._exit, so it runs none of
-    # the parent's finally blocks or atexit hooks and flushes no inherited buffer.
+    # a forked worker: one pickle per chunk of its stripe, (None, result), or
+    # (exc, None) when chunk_fn raises, which ends the stripe.  It closes the
+    # pipes' read ends it inherited, so that it meets EPIPE once the parent is
+    # gone, and it leaves only through os._exit, so it runs none of the
+    # parent's finally blocks or atexit hooks and flushes no inherited buffer:
+    # a pickle cut short by an error ends the pipe as a truncated stream.
+    import pickle
+
     code = 1
     try:
         for pipe in read_ends:
             pipe.close()
         for bounds in stripe:
-            if not _send(out, chunk_fn, bounds):
+            try:
+                error, part = None, chunk_fn(bounds)
+            except Exception as exc:
+                error, part = exc, None
+            pickle.dump((error, part), out)
+            out.flush()
+            if error is not None:
                 break
         code = 0
     finally:
         os._exit(code)
 
 
-def _send(out, chunk_fn, bounds: tuple[int, int]) -> bool:
-    # write chunk_fn(bounds), or the exception it raised, as one frame; False
-    # after an exception
+def _receive(pipe, k: int):
+    # chunk k's result, or the exception it raised in its worker
     import pickle
 
     try:
-        frame, ok = pickle.dumps((None, chunk_fn(bounds))), True
-    except Exception as exc:
-        frame, ok = pickle.dumps((exc, None)), False
-    out.write(len(frame).to_bytes(8, "little"))
-    out.write(frame)
-    out.flush()
-    return ok
-
-
-def _receive(pipe, k: int):
-    # chunk k's result from its frame, or the exception it raised in its worker
-    import pickle
-
-    head = pipe.read(8)
-    size = int.from_bytes(head, "little")
-    frame = pipe.read(size)  # at the end of the pipe, b"" at once
-    if len(head) < 8 or len(frame) < size:
-        raise ChildProcessError(f"a scan worker ended before sending chunk {k}")
-    error, part = pickle.loads(frame)
+        error, part = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise ChildProcessError(f"a scan worker ended before sending chunk {k}") from None
     if error is not None:
         raise error
     return part
 
 
-def _counted(parts: Iterable, n_chunks: int) -> Iterator:
-    # parts, with a debug line per chunk; closing this stream closes parts, and
-    # with them a pool's workers
-    n = 0
-    try:
-        for i, part in enumerate(parts, 1):
-            n += len(part)
-            _log("debug", "chunk %d/%d done (%d primes so far)", i, n_chunks, n)
-            yield part
-    finally:
-        if hasattr(parts, "close"):
-            parts.close()
+def _tally(report: ScanReport, chunks: Iterator) -> Iterator:
+    # the rows of each chunk of report's range, once its class counts and
+    # violations are added to report's, with a debug line per chunk and the info
+    # summary when the stream ends; closing this stream closes chunks, and with
+    # them a scan's workers
+    n_chunks = len(range(report.lo, report.hi, _CHUNK))
+    with closing(chunks):
+        for i, (rows, class_counts, violations) in enumerate(chunks, 1):
+            for cls, n in class_counts.items():
+                report.class_counts[cls] += n
+            report.violations += violations
+            _log("debug", "chunk %d/%d done (%d primes so far)", i, n_chunks, report.n_primes)
+            yield rows
+    _log("info", "scan [%d, %d): %d primes, violations %s, status %s",
+         report.lo, report.hi, report.n_primes, report.violations, report.status)
 
 
 def scan(lo: int, hi: int, workers: int = 1) -> ScanReport:
@@ -310,9 +272,8 @@ def scan(lo: int, hi: int, workers: int = 1) -> ScanReport:
     and are reported, not suppressed.
     """
     report = ScanReport(lo, hi)
-    with closing(_map_chunks(partial(_chunk, _itself), lo, hi, workers)) as chunks:
-        for chunk in chunks:
-            report.add(chunk)
-            report.records += chunk.rows
-    report.log_summary()
+    chunks = _map_chunks(partial(_chunk, _itself), lo, hi, workers)
+    with closing(_tally(report, chunks)) as rows:
+        for part in rows:
+            report.records += part
     return report

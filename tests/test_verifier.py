@@ -284,11 +284,48 @@ def test_a_worker_that_dies_fails_the_scan(monkeypatch):
     _no_child_left()
 
 
+class _KillsItsPickler:
+    # an object whose pickling kills the process that pickles it
+    def __reduce__(self):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+class _Unpicklable(ZeroDivisionError):
+    # an exception that pickle refuses
+    def __reduce__(self):
+        raise TypeError("not picklable")
+
+
+def _killed_mid_pickle(k):
+    # more than a pipe's buffer is written before the worker dies
+    return [bytes(1 << 20), _KillsItsPickler()]
+
+
+def _raises_unpicklable(k):
+    raise _Unpicklable(f"chunk {k}")
+
+
+@pytest.mark.parametrize("fail", [_killed_mid_pickle, _raises_unpicklable])
+def test_a_worker_that_fails_while_sending_fails_the_scan(monkeypatch, fail):
+    monkeypatch.setattr(verifier, "_CHUNK", 100)
+    _allow_cpus(monkeypatch, 2)
+
+    def fails_on_1(bounds):
+        k = (bounds[0] - 2) // 100
+        return fail(k) if k == 1 else [k]
+
+    stream = verifier._map_chunks(fails_on_1, 2, 10_000, 2)
+    assert next(stream) == [0]
+    with pytest.raises(ChildProcessError, match="^a scan worker ended before sending chunk 1$"):
+        next(stream)
+    _no_child_left()
+
+
 def test_closing_a_parallel_scan_reaps_its_workers(monkeypatch):
     _allow_cpus(monkeypatch, 2)
     # the CLI's first chunk of [2, 2**63) from two workers, then no more
     stream = verifier._map_chunks(partial(cli._scan_chunk, "csv"), 2, MAX_MODULUS, 2)
-    assert next(stream).rows.startswith(b"2,")
+    assert next(stream)[0].startswith(b"2,")
     stream.close()
     _no_child_left()
 
