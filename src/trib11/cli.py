@@ -9,9 +9,10 @@ and every I/O error is one `error: ...` line on stderr.  A parse error
 prints argparse's usage block and its error line on stderr and exits 1,
 not argparse's 2.  A reader that closes stdout early
 (`trib11 scan ... | head`) stops the command silently, with exit 1, as
-its output was not all written.  Output for fixed arguments is
-byte-identical across runs and worker counts.  The parser is argparse,
-so the command needs nothing outside the standard library.
+its output was not all written.  Ctrl-C flushes the lines already
+written and ends the command by SIGINT, also silently.  Output for fixed
+arguments is byte-identical across runs and worker counts.  The parser
+is argparse, so the command needs nothing outside the standard library.
 
 Set TRIB_LOG to quiet, info or debug to control diagnostics on stderr.
 """

@@ -305,7 +305,8 @@ def _raises_unpicklable(k):
     raise _Unpicklable(f"chunk {k}")
 
 
-@pytest.mark.parametrize("fail", [_killed_mid_pickle, _raises_unpicklable])
+@pytest.mark.parametrize("fail", [_killed_mid_pickle, _raises_unpicklable],
+                         ids=["killed_mid_pickle", "unpicklable_exception"])
 def test_a_worker_that_fails_while_sending_fails_the_scan(monkeypatch, fail):
     monkeypatch.setattr(verifier, "_CHUNK", 100)
     _allow_cpus(monkeypatch, 2)
