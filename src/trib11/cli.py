@@ -28,7 +28,7 @@ from typing import Iterable
 
 from . import verifier
 from .quadform import represent as qf_represent
-from .gfext import splitting_type
+from .gfext import Shape, splitting_type
 from .verifier import ScanReport, VerdictRecord
 
 #: the CSV columns, in the record's field order; this is a stable schema
@@ -39,45 +39,56 @@ _TABLE_WIDTHS = (9, 10, 9, 13, 6, 6, 31, 13, 10, 11)
 _LOG_LEVELS = ("quiet", "info", "debug")
 
 
-def _csv_line(rec: VerdictRecord) -> str:
-    # the one cell formatter; like _jsonl_obj, it reads an enum's _value_
-    # directly rather than through the slower `value` property
-    p, residue, div, rep, x, y, shape, cls, cons, exc = rec
-    return (
-        f'{p},{residue},{"true" if div else "false"},{"true" if rep else "false"},'
-        f'{"" if x is None else x},{"" if y is None else y},{shape._value_},{cls._value_},'
-        f'{"true" if cons else "false"},{"true" if exc else "false"}'
-    )
+#: the CSV cells of each shape and its Frobenius class, each ended by a comma
+_SHAPE_CSV = {s: f"{s._value_},{s.frobenius_class._value_}," for s in Shape}
+
+#: the JSON members of each shape and its Frobenius class, each ended by ", "
+_SHAPE_JSON = {
+    s: f'"splitting": "{s._value_}", "frobenius": "{s.frobenius_class._value_}", '
+    for s in Shape
+}
 
 
-def _row(rec: VerdictRecord) -> tuple[str, ...]:
-    # the CSV cells; none can hold a comma (ints, true/false, empty, enum names)
-    return tuple(_csv_line(rec).split(","))
+def _csv_line(p: int, residue: int, shape: Shape, x: int | None, y: int | None) -> str:
+    # the record's CSV line from its five facts: p is divisible when the residue
+    # is 0 and representable when x is not None, and consistent when both agree
+    if x is None:
+        if residue:
+            return f"{p},{residue},false,false,,,{_SHAPE_CSV[shape]}true,false"
+        return f"{p},0,true,false,,,{_SHAPE_CSV[shape]}false,true"
+    if residue:
+        return f"{p},{residue},false,true,{x},{y},{_SHAPE_CSV[shape]}false,true"
+    return f"{p},0,true,true,{x},{y},{_SHAPE_CSV[shape]}true,false"
 
 
-def _jsonl_obj(rec: VerdictRecord) -> str:
-    # the JSON object json.dumps writes for these keys, in this order
-    p, residue, div, rep, x, y, shape, cls, cons, exc = rec
-    return (
-        f'{{"p": {p}, "trib_residue": {residue}, '
-        f'"divisible": {"true" if div else "false"}, '
-        f'"representable": {"true" if rep else "false"}, '
-        f'"rep_x": {"null" if x is None else x}, "rep_y": {"null" if y is None else y}, '
-        f'"splitting": "{shape._value_}", "frobenius": "{cls._value_}", '
-        f'"consistent": {"true" if cons else "false"}, '
-        f'"exceptional": {"true" if exc else "false"}}}'
-    )
+#: the last two JSON members, and the end of the object, as the facts agree or not
+_JSON_CONSISTENT = '"consistent": true, "exceptional": false}'
+_JSON_EXCEPTIONAL = '"consistent": false, "exceptional": true}'
+
+
+def _jsonl_obj(p: int, residue: int, shape: Shape, x: int | None, y: int | None) -> str:
+    # the JSON object json.dumps writes for the record's keys, in their order,
+    # with the flags read off the facts as in _csv_line
+    div = '"divisible": false, ' if residue else '"divisible": true, '
+    if x is None:
+        rep = '"representable": false, "rep_x": null, "rep_y": null, '
+        flags = _JSON_CONSISTENT if residue else _JSON_EXCEPTIONAL
+    else:
+        rep = f'"representable": true, "rep_x": {x}, "rep_y": {y}, '
+        flags = _JSON_EXCEPTIONAL if residue else _JSON_CONSISTENT
+    return f'{{"p": {p}, "trib_residue": {residue}, {div}{rep}{_SHAPE_JSON[shape]}{flags}'
 
 
 def _table_line(cells: Iterable[str]) -> str:
     return "  ".join(c.ljust(w) for c, w in zip(cells, _TABLE_WIDTHS)).rstrip()
 
 
-def _table_row(rec: VerdictRecord) -> str:
-    return _table_line(_row(rec))
+def _table_row(p: int, residue: int, shape: Shape, x: int | None, y: int | None) -> str:
+    return _table_line(_csv_line(p, residue, shape, x, y).split(","))
 
 
-#: each --format: its header line (None for none) and the function that renders a record
+#: each --format: its header line (None for none) and the function that renders a
+#: record from its five facts
 _FORMATS = {
     "table": (_table_line(CSV_COLUMNS), _table_row),
     "csv": (",".join(CSV_COLUMNS), _csv_line),
@@ -93,12 +104,23 @@ def _format(fmt: str):
         raise ValueError(f"unknown format {fmt!r}") from None
 
 
+def _facts(rec: VerdictRecord) -> tuple[int, int, Shape, int | None, int | None]:
+    # the five facts a line is rendered from; the record's flags follow from them
+    return rec.p, rec.trib_residue, rec.splitting, rec.rep_x, rec.rep_y
+
+
+def _row(rec: VerdictRecord) -> tuple[str, ...]:
+    # the CSV cells; none can hold a comma (ints, true/false, empty, enum names)
+    return tuple(_csv_line(*_facts(rec)).split(","))
+
+
 def record_lines(records: Iterable[VerdictRecord], fmt: str) -> Iterable[str]:
     """Render records in the given format, one line at a time (no newlines)."""
     header, line = _format(fmt)
     if header is not None:
         yield header
-    yield from map(line, records)
+    for rec in records:
+        yield line(*_facts(rec))
 
 
 def _scan_chunk(fmt: str, bounds: tuple[int, int]) -> tuple[bytes, dict, list[int]]:

@@ -7,19 +7,21 @@ f mod p lands in one of three classes matching the conjugacy classes of
 S3, exposed here as `splitting_type` / `frobenius_orbit`.
 
 Every power in F_p[x]/(f) goes through one square-and-shift ladder,
-`_xpow`, which takes (x + a)^n.  The scan's per-prime facts all come
-from x^p, which it takes in batches (`_frobenius_powers`): consecutive
-primes whose product m reaches `_BATCH_BITS` bits share one ladder for
-x^q1 mod m, each later prime's x^q mod m is the one before times x^g
-for the gap g, and x^q mod m reduces to x^q mod q; `verifier.verdict`
-takes the batch of one.  `splitting_type`, `frobenius_orbit` and
-`tribonacci.trib_mod` take their powers prime by prime, so the tests
-judge the batched walk by them.
+`_xpow`, which takes (x + a)^n.  The scan's residues and shapes all come
+from x^p, which it takes for a chunk's primes at once
+(`_residues_and_shapes`, two flat sequences in the primes' order):
+consecutive primes whose product m reaches `_BATCH_BITS` bits share one
+ladder for x^q1 mod m, each later prime's x^q mod m is the one before
+times x^g for the gap g, and x^q mod m reduces to x^q mod q;
+`verifier.verdict` takes the batch of one.  `splitting_type`,
+`frobenius_orbit` and `tribonacci.trib_mod` take their powers prime by
+prime, so the tests judge the batched walk by them.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from typing import NamedTuple
 
 from .modmath import PrimeLike, _sqrt_mod, require_prime
@@ -151,61 +153,67 @@ def _xpow(n, m, a=0):
 _BATCH_BITS = 192
 
 
-def _frobenius_powers(primes):
-    # (q, x^q in F_q[x]/(f), shape of f mod q) for each of the ascending primes,
-    # in order.  Consecutive primes gather into a batch until their product m
-    # reaches _BATCH_BITS bits; the batch shares one ladder, for x^q1 mod m, and
-    # every later q is reached from the one before by a single product with x^g,
-    # g the gap.  Z/m -> Z/q is a ring map and f is monic, so x^q mod m taken
-    # mod q is x^q in F_q[x]/(f).
-    batch = []
-    m = 1
-    for q in primes:
-        batch.append(q)
-        m *= q
-        if m.bit_length() >= _BATCH_BITS:
-            yield from _walk(batch, m)
-            batch = []
-            m = 1
-    if batch:
-        yield from _walk(batch, m)
+#: the shape of f mod q for a q outside {2, 11} where x^q != x, indexed by q mod 11
+_NONSPLIT_SHAPE = tuple(
+    Shape.IRREDUCIBLE if r in _SQUARES_MOD_11 else Shape.ONE_ROOT_PLUS_IRREDUCIBLE_QUADRATIC
+    for r in range(11)
+)
 
 
-def _walk(batch, m):
-    # _frobenius_powers for one batch, ascending, whose product is m
-    prev = batch[0]
-    r0, r1, r2 = _xpow(prev, m)
-    for q in batch:
-        g = q - prev
-        if g:
-            # r * x^g, folding x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1
-            s0, s1, s2 = _X_POWERS[g] if g < 1 << _TABLE_BITS else _xpow(g, m)
-            c3 = r1 * s2 + r2 * s1
-            c4 = r2 * s2
-            t = c3 + c4
-            u = t + c4
-            r0, r1, r2 = (
-                (r0 * s0 + t) % m,
-                (r0 * s1 + r1 * s0 + u) % m,
-                (r0 * s2 + r1 * s1 + r2 * s0 + u) % m,
-            )
-            prev = q
-        xp = r0 % q, r1 % q, r2 % q
-        # x^q = x exactly when f has three distinct roots.  Otherwise, as
-        # disc(f) = -44 = -11 * 2^2, Frobenius is an even permutation (a 3-cycle)
-        # exactly when (-11|q) = 1, and a transposition when (-11|q) = -1.  Since
-        # -11 = 1 mod 4, reciprocity gives (-11|q) = (q|11), so the class is read
-        # off q mod 11: Q(sqrt(-11)) is the quadratic subfield of the splitting
-        # field.  The ramified 2 and 11 keep their fixed shapes.
+def _residues_and_shapes(primes):
+    # (residues, shapes) of the ascending primes, each in their order: T_{q-1}
+    # mod q, the x^2 coefficient of x^q in F_q[x]/(f), and the shape of f mod q.
+    # Consecutive primes gather into a batch until their product m reaches
+    # _BATCH_BITS bits; the batch shares one ladder, for x^q1 mod m, and every
+    # later q is reached from the one before by a single product with x^g, g the
+    # gap.  Z/m -> Z/q is a ring map and f is monic, so x^q mod m taken mod q is
+    # x^q in F_q[x]/(f).
+    residues = array("q")
+    shapes = []
+    add_residue, add_shape = residues.append, shapes.append
+    n = len(primes)
+    end = 0
+    while end < n:
+        start, m = end, 1
+        while end < n and m.bit_length() < _BATCH_BITS:
+            m *= primes[end]
+            end += 1
+        prev = primes[start]
+        r0, r1, r2 = _xpow(prev, m)
+        for q in primes[start:end]:
+            g = q - prev
+            if g:
+                # r * x^g, folding x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1
+                s0, s1, s2 = _X_POWERS[g] if g < 1 << _TABLE_BITS else _xpow(g, m)
+                c3 = r1 * s2 + r2 * s1
+                c4 = r2 * s2
+                t = c3 + c4
+                u = t + c4
+                r0, r1, r2 = (
+                    (r0 * s0 + t) % m,
+                    (r0 * s1 + r1 * s0 + u) % m,
+                    (r0 * s2 + r1 * s1 + r2 * s0 + u) % m,
+                )
+                prev = q
+            residue = r2 % q
+            add_residue(residue)
+            # x^q = x exactly when f has three distinct roots, and that needs a
+            # zero residue, so r0 and r1 are reduced only then.  Otherwise, as
+            # disc(f) = -44 = -11 * 2^2, Frobenius is an even permutation (a
+            # 3-cycle) exactly when (-11|q) = 1, and a transposition when
+            # (-11|q) = -1.  Since -11 = 1 mod 4, reciprocity gives (-11|q) =
+            # (q|11), so the class is read off q mod 11: Q(sqrt(-11)) is the
+            # quadratic subfield of the splitting field.
+            if residue or r0 % q or r1 % q != 1:
+                add_shape(_NONSPLIT_SHAPE[q % 11])
+            else:
+                add_shape(Shape.THREE_DISTINCT_ROOTS)
+    # the ramified 2 and 11 keep their fixed shapes; ascending primes hold them
+    # among their first five
+    for i, q in enumerate(primes[:5]):
         if q in _RAMIFIED_SHAPE:
-            shape = _RAMIFIED_SHAPE[q]
-        elif xp == _X:
-            shape = Shape.THREE_DISTINCT_ROOTS
-        elif q % 11 in _SQUARES_MOD_11:
-            shape = Shape.IRREDUCIBLE
-        else:
-            shape = Shape.ONE_ROOT_PLUS_IRREDUCIBLE_QUADRATIC
-        yield q, xp, shape
+            shapes[i] = _RAMIFIED_SHAPE[q]
+    return residues, shapes
 
 
 def _f_eval(r: int, p: int) -> int:
@@ -325,7 +333,7 @@ def _splitting_type(p: int) -> SplittingType:
 def _gcd_shape(p: int) -> tuple[Shape, list[int]]:
     # splitting_type's shape for a p known to be prime, from the degree of the
     # monic g = gcd(f, x^p - x), returned with g: f, x - r or [1].  It searches
-    # for no root and does not use _walk's p mod 11 rule.  The
+    # for no root and does not use _residues_and_shapes' p mod 11 rule.  The
     # ramified 2 and 11 get their fixed shapes and g = [].
     if p in _RAMIFIED_SHAPE:
         return _RAMIFIED_SHAPE[p], []

@@ -4,13 +4,19 @@ For every prime p the scanner computes three facts: whether p divides
 T_{p-1}, whether p = x^2 + 11y^2, and how x^3 - x^2 - x - 1 factors mod
 p.  The first and third come from the power x^p in F_p[x]/(f), which a
 scan takes for each chunk's primes in batches that share one ladder and
-walk along the prime gaps (`gfext._frobenius_powers`; `verdict` is the
+walk along the prime gaps (`gfext._residues_and_shapes`; `verdict` is the
 batch of one).  The second comes from the chunk's marks of the values
 x^2 + 11y^2 below 2^33 and from Cornacchia above (and in `verdict`);
 neither reads x^p or p mod 11, so representability shares nothing with
 that kernel.  Outside the two known exceptional primes 11 and 19 the
 first two must agree (and both must match the completely-split shape);
 any other disagreement flags the whole report as FAILED.
+
+A chunk runs in phases, each over all of its primes: the primes, their
+residues and shapes, their representations, and one loop that counts
+classes and violations and renders each row from the five facts p,
+residue, shape, x and y.  Only `scan` and `verdict` build a
+`VerdictRecord`; the CLI renders its lines from the facts.
 
 Scans are deterministic regardless of worker count: the range is cut
 into fixed chunks, each chunk is processed by pure functions, and the
@@ -33,13 +39,14 @@ from __future__ import annotations
 
 import os
 import sys
+from array import array
 from contextlib import closing
 from functools import partial
 from typing import Iterator, NamedTuple, NoReturn
 
-from .gfext import FrobeniusClass, Shape, _frobenius_powers
+from .gfext import FrobeniusClass, Shape, _residues_and_shapes
 from .modmath import MAX_MODULUS, PrimeLike, primes_in_range, require_prime
-from .quadform import Representation, _cornacchia, _representations
+from .quadform import _cornacchia, _representations
 
 #: the primes where divisibility and representability legitimately disagree
 KNOWN_EXCEPTIONS = frozenset({11, 19})
@@ -107,17 +114,14 @@ def _log(level: str, msg: str, *args) -> None:
 def verdict(p: PrimeLike) -> VerdictRecord:
     """Compute the full per-prime record for one prime."""
     pv = require_prime(p)
-    _, xp, shape = next(_frobenius_powers((pv,)))
-    return _record(pv, xp, shape, _cornacchia(pv))
+    residues, shapes = _residues_and_shapes((pv,))
+    return _record(pv, residues[0], shapes[0], *_cornacchia(pv))
 
 
-def _record(p: int, xp: tuple[int, int, int], shape: Shape,
-            rep: Representation) -> VerdictRecord:
-    # the record of the prime p, given x^p in F_p[x]/(f), the shape of f mod p
-    # and p's representation by x^2 + 11y^2
-    residue = xp[2]  # the x^2 coefficient of x^p is T_{p-1} mod p
+def _record(p: int, residue: int, shape: Shape, x: int | None, y: int | None) -> VerdictRecord:
+    # the record of the prime p, given T_{p-1} mod p, the shape of f mod p and
+    # p's representation (x, y) by x^2 + 11y^2, or (None, None)
     divisible = residue == 0
-    x, y = rep
     representable = x is not None
     consistent = divisible == representable
     return VerdictRecord(p, residue, divisible, representable, x, y,
@@ -125,25 +129,27 @@ def _record(p: int, xp: tuple[int, int, int], shape: Shape,
 
 
 def _chunk(row, bounds: tuple[int, int]) -> tuple[list, dict[FrobeniusClass, int], list[int]]:
-    # (rows, class counts, violations) of the chunk: row(record) for each of its
-    # primes, ascending; the one place a scan counts them
+    # (rows, class counts, violations) of the chunk: row(p, residue, shape, x, y)
+    # for each of its primes, ascending; the one place a scan counts them.  The
+    # representations never read the residue.
     lo, hi = bounds
+    primes = array("q", primes_in_range(lo, hi))
+    residues, shapes = _residues_and_shapes(primes)
+    representations = list(map(_representations(lo, hi), primes))
     rows = []
-    class_counts = dict.fromkeys(FrobeniusClass, 0)
+    add_row = rows.append
+    shape_counts = dict.fromkeys(Shape, 0)
     violations = []
-    representation = _representations(lo, hi)
-    for p, xp, shape in _frobenius_powers(primes_in_range(lo, hi)):
-        rec = _record(p, xp, shape, representation(p))
-        class_counts[rec.frobenius] += 1
-        if rec.exceptional:
+    for p, residue, shape, (x, y) in zip(primes, residues, shapes, representations):
+        shape_counts[shape] += 1
+        # divisible (residue 0) and representable (x not None) disagree
+        if (residue == 0) is (x is None):
             violations.append(p)
-        rows.append(row(rec))
+        add_row(row(p, residue, shape, x, y))
+    class_counts = dict.fromkeys(FrobeniusClass, 0)
+    for shape, n in shape_counts.items():
+        class_counts[shape.frobenius_class] += n
     return rows, class_counts, violations
-
-
-def _itself(rec: VerdictRecord) -> VerdictRecord:
-    # the row of a chunk that keeps its records
-    return rec
 
 
 def _map_chunks(chunk_fn, lo: int, hi: int, workers: int) -> Iterator:
@@ -235,13 +241,20 @@ def _work(chunk_fn, stripe: Iterator[tuple[int, int]], out, read_ends) -> NoRetu
 
 
 def _receive(pipe, k: int):
-    # chunk k's result, or the exception it raised in its worker
+    # chunk k's result, or the exception it raised in its worker.  A pickle that
+    # arrived whole but cannot be rebuilt here, such as an exception whose
+    # __init__ takes other arguments than it passed on, fails the scan at chunk k
+    # with the rebuild's own error as the cause.
     import pickle
 
     try:
         error, part = pickle.load(pipe)
     except (EOFError, pickle.UnpicklingError):
         raise ChildProcessError(f"a scan worker ended before sending chunk {k}") from None
+    except Exception as exc:
+        raise ChildProcessError(
+            f"the result of chunk {k} could not be rebuilt from its scan worker's pickle"
+        ) from exc
     if error is not None:
         raise error
     return part
@@ -272,7 +285,7 @@ def scan(lo: int, hi: int, workers: int = 1) -> ScanReport:
     and are reported, not suppressed.
     """
     report = ScanReport(lo, hi)
-    chunks = _map_chunks(partial(_chunk, _itself), lo, hi, workers)
+    chunks = _map_chunks(partial(_chunk, _record), lo, hi, workers)
     with closing(_tally(report, chunks)) as rows:
         for part in rows:
             report.records += part

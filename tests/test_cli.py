@@ -14,7 +14,10 @@ from pathlib import Path
 import pytest
 
 import trib11
-from trib11.cli import _csv_line, _jsonl_obj, _row, _scan_chunk, main, record_lines, summary_line
+from trib11.cli import (
+    _csv_line, _jsonl_obj, _row, _scan_chunk, _table_line, _table_row, main, record_lines,
+    summary_line,
+)
 from trib11.modmath import MAX_MODULUS, is_prime
 from trib11.verifier import scan, verdict
 
@@ -203,9 +206,12 @@ def test_rows_render_as_the_reference_formulas():
             _cell(rec.consistent),
             _cell(rec.exceptional),
         )
-        assert _csv_line(rec) == ",".join(cells), rec
+        # a scan's chunk renders a line from five facts; the flags follow from them
+        facts = rec.p, rec.trib_residue, rec.splitting, rec.rep_x, rec.rep_y
+        assert _csv_line(*facts) == ",".join(cells), rec
         assert _row(rec) == cells, rec
-        assert _jsonl_obj(rec) == json.dumps(
+        assert _table_row(*facts) == _table_line(cells), rec
+        assert _jsonl_obj(*facts) == json.dumps(
             {
                 "p": rec.p,
                 "trib_residue": rec.trib_residue,

@@ -10,7 +10,8 @@ from trib11.gfext import (
     FrobeniusClass,
     RamifiedPrime,
     Shape,
-    _frobenius_powers,
+    _gcd_shape,
+    _residues_and_shapes,
     _xpow,
     frobenius_orbit,
     splitting_type,
@@ -183,16 +184,19 @@ def test_frobenius_power_examples():
         19: Shape.ONE_ROOT_PLUS_IRREDUCIBLE_QUADRATIC,
         47: Shape.THREE_DISTINCT_ROOTS,
     }
-    xps = {}
+    residues = {}
     for p, shape in cases.items():
-        q, xps[p], got = next(_frobenius_powers((p,)))  # the batch of one
-        assert q == p
-        assert got is shape is splitting_type(p).shape, p
-        assert xps[p] == (_cubic_ring(p).gen() ** p).coeffs
+        (residues[p],), (got,) = _residues_and_shapes((p,))  # the batch of one
+        assert residues[p] == _xpow(p, p)[2] == (_cubic_ring(p).gen() ** p).coeffs[2], p
+        assert got is shape is _gcd_shape(p)[0] is splitting_type(p).shape, p
+    # one batch over all of them, 2 and 11 included, gives the same facts
+    batch_residues, batch_shapes = _residues_and_shapes(tuple(cases))
+    assert list(batch_residues) == list(residues.values())
+    assert batch_shapes == list(cases.values())
     # the x^2 coefficient of x^p is T_{p-1} mod p: T_10 = 149, T_18 = 19*1027
-    assert xps[11][2] == 149 % 11
-    assert xps[19][2] == 0
-    assert xps[47] == X
+    assert residues[11] == 149 % 11
+    assert residues[19] == 0
+    assert _xpow(47, 47) == X
 
 
 def test_splitting_matches_sympy_factorization():

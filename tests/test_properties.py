@@ -12,6 +12,7 @@ domain.
 """
 
 import math
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +23,8 @@ from trib11.gfext import (
     _SQUARES_MOD_11,
     _TABLE_BITS,
     Shape,
-    _frobenius_powers,
     _gcd_shape,
+    _residues_and_shapes,
     _xpow,
     frobenius_orbit,
     splitting_type,
@@ -142,10 +143,11 @@ prime_lists = st.one_of(
 @reproducible
 @given(ps=prime_lists)
 def test_frobenius_powers_walk_matches_per_prime_ladder(ps):
-    rows = list(_frobenius_powers(iter(ps)))
-    assert [q for q, _, _ in rows] == ps
-    for q, xp, shape in rows:
-        assert xp == _xpow(q, q), q
+    residues, shapes = _residues_and_shapes(array("q", ps))
+    assert len(residues) == len(shapes) == len(ps)
+    for q, residue, shape in zip(ps, residues, shapes):
+        # T_{q-1} mod q is the x^2 coefficient of x^q, by the ladder and by QuotientRing
+        assert residue == _xpow(q, q)[2] == (QuotientRing(q, F_COEFFS[:3]).gen() ** q).coeffs[2], q
         assert shape is _gcd_shape(q)[0], q
 
 

@@ -322,6 +322,30 @@ def test_a_worker_that_fails_while_sending_fails_the_scan(monkeypatch, fail):
     _no_child_left()
 
 
+class _TwoArguments(ZeroDivisionError):
+    # an exception that pickles, but whose pickle calls __init__ with one argument
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+def test_a_worker_exception_that_cannot_be_rebuilt_fails_the_scan(monkeypatch):
+    monkeypatch.setattr(verifier, "_CHUNK", 100)
+    _allow_cpus(monkeypatch, 2)
+
+    def fails_on_1(bounds):
+        k = (bounds[0] - 2) // 100
+        if k == 1:
+            raise _TwoArguments(f"chunk {k}", "b")
+        return [k]
+
+    stream = verifier._map_chunks(fails_on_1, 2, 10_000, 2)
+    assert next(stream) == [0]
+    with pytest.raises(ChildProcessError, match="^the result of chunk 1 could not be rebuilt") as err:
+        next(stream)
+    assert isinstance(err.value.__cause__, TypeError)
+    _no_child_left()
+
+
 def test_closing_a_parallel_scan_reaps_its_workers(monkeypatch):
     _allow_cpus(monkeypatch, 2)
     # the CLI's first chunk of [2, 2**63) from two workers, then no more
@@ -352,6 +376,22 @@ def test_scan_worker_count_does_not_change_results():
     assert solo.records == multi.records
     assert solo.violations == multi.violations
     assert solo.class_counts == multi.class_counts
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ramified_primes_keep_their_place_in_every_small_scan(monkeypatch, workers):
+    # 2 and 11 get their fixed shapes after the walk; whatever the range, they
+    # must land on their own rows.  With 2 workers and chunks 7 wide, 11 falls
+    # first, in the middle and last of a chunk, each chunk one batch
+    if workers == 2:
+        monkeypatch.setattr(verifier, "_CHUNK", 7)
+        _allow_cpus(monkeypatch, 2)
+    expected = {p: verdict(p) for p in sieve_list(60)}
+    for a in range(2, 60):
+        for b in range(a + 1, 61):
+            records = scan(a, b, workers=workers).records
+            assert records == [expected[p] for p in range(a, b) if p in expected], (a, b)
+    _no_child_left()
 
 
 def test_scan_consistency_flags():
