@@ -305,9 +305,30 @@ def _raises_unpicklable(k):
     raise _Unpicklable(f"chunk {k}")
 
 
-@pytest.mark.parametrize("fail", [_killed_mid_pickle, _raises_unpicklable],
-                         ids=["killed_mid_pickle", "unpicklable_exception"])
-def test_a_worker_that_fails_while_sending_fails_the_scan(monkeypatch, fail):
+class _TwoArguments(ZeroDivisionError):
+    # an exception that pickles, but whose pickle calls __init__ with one argument
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+def _raises_unrebuildable(k):
+    raise _TwoArguments(f"chunk {k}", "b")
+
+
+_ENDED = "a scan worker ended before sending chunk 1"
+
+
+@pytest.mark.parametrize(
+    "fail, message, cause",
+    [
+        (_killed_mid_pickle, _ENDED, type(None)),
+        (_raises_unpicklable, _ENDED, type(None)),
+        (_raises_unrebuildable,
+         "the result of chunk 1 could not be rebuilt from its scan worker's pickle", TypeError),
+    ],
+    ids=["killed_mid_pickle", "unpicklable_exception", "unrebuildable_exception"],
+)
+def test_a_worker_that_fails_while_sending_fails_the_scan(monkeypatch, fail, message, cause):
     monkeypatch.setattr(verifier, "_CHUNK", 100)
     _allow_cpus(monkeypatch, 2)
 
@@ -317,32 +338,9 @@ def test_a_worker_that_fails_while_sending_fails_the_scan(monkeypatch, fail):
 
     stream = verifier._map_chunks(fails_on_1, 2, 10_000, 2)
     assert next(stream) == [0]
-    with pytest.raises(ChildProcessError, match="^a scan worker ended before sending chunk 1$"):
+    with pytest.raises(ChildProcessError, match=f"^{message}$") as err:
         next(stream)
-    _no_child_left()
-
-
-class _TwoArguments(ZeroDivisionError):
-    # an exception that pickles, but whose pickle calls __init__ with one argument
-    def __init__(self, a, b):
-        super().__init__(a)
-
-
-def test_a_worker_exception_that_cannot_be_rebuilt_fails_the_scan(monkeypatch):
-    monkeypatch.setattr(verifier, "_CHUNK", 100)
-    _allow_cpus(monkeypatch, 2)
-
-    def fails_on_1(bounds):
-        k = (bounds[0] - 2) // 100
-        if k == 1:
-            raise _TwoArguments(f"chunk {k}", "b")
-        return [k]
-
-    stream = verifier._map_chunks(fails_on_1, 2, 10_000, 2)
-    assert next(stream) == [0]
-    with pytest.raises(ChildProcessError, match="^the result of chunk 1 could not be rebuilt") as err:
-        next(stream)
-    assert isinstance(err.value.__cause__, TypeError)
+    assert isinstance(err.value.__cause__, cause)
     _no_child_left()
 
 
