@@ -21,7 +21,6 @@ prime, so the tests judge the batched walk by them.
 from __future__ import annotations
 
 import enum
-from array import array
 from typing import NamedTuple
 
 from .modmath import PrimeLike, _sqrt_mod, require_prime
@@ -168,6 +167,8 @@ def _residues_and_shapes(primes):
     # later q is reached from the one before by a single product with x^g, g the
     # gap.  Z/m -> Z/q is a ring map and f is monic, so x^q mod m taken mod q is
     # x^q in F_q[x]/(f).
+    from array import array  # loaded by the processes that compute chunks only
+
     residues = array("q")
     shapes = []
     add_residue, add_shape = residues.append, shapes.append
