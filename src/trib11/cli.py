@@ -83,8 +83,40 @@ def _table_line(cells: Iterable[str]) -> str:
     return "  ".join(c.ljust(w) for c, w in zip(cells, _TABLE_WIDTHS)).rstrip()
 
 
+def _padded(*cells: str, column: int) -> str:
+    # cells from the table's column `column` on, each padded to its width and
+    # followed by the two spaces between columns
+    return "".join(f"{c.ljust(w)}  " for c, w in zip(cells, _TABLE_WIDTHS[column:]))
+
+
+#: the padded cells of each shape and its Frobenius class
+_SHAPE_TABLE = {s: _padded(s._value_, s.frobenius_class._value_, column=6) for s in Shape}
+
+#: the padded divisible and representable cells, as p is divisible or representable,
+#: with the empty rep_x and rep_y where it is not representable
+_TABLE_NEITHER = _padded("false", "false", "", "", column=2)
+_TABLE_DIVISIBLE = _padded("true", "false", "", "", column=2)
+_TABLE_REPRESENTABLE = _padded("false", "true", column=2)
+_TABLE_BOTH = _padded("true", "true", column=2)
+
+#: the last two cells, consistent padded and exceptional not, as the facts agree or not
+_TABLE_CONSISTENT = _padded("true", column=8) + "false"
+_TABLE_EXCEPTIONAL = _padded("false", column=8) + "true"
+
+
 def _table_row(p: int, residue: int, shape: Shape, x: int | None, y: int | None) -> str:
-    return _table_line(_csv_line(p, residue, shape, x, y).split(","))
+    # the table line from the five facts, read as in _csv_line; the widths of p,
+    # the residue, x and y are _TABLE_WIDTHS' 9, 10, 6 and 6, and only the last
+    # cell, never empty, goes unpadded
+    cells = _SHAPE_TABLE[shape]
+    if x is None:
+        if residue:
+            return f"{p:<9}  {residue:<10}  {_TABLE_NEITHER}{cells}{_TABLE_CONSISTENT}"
+        return f"{p:<9}  0           {_TABLE_DIVISIBLE}{cells}{_TABLE_EXCEPTIONAL}"
+    if residue:
+        return (f"{p:<9}  {residue:<10}  {_TABLE_REPRESENTABLE}{x:<6}  {y:<6}  "
+                f"{cells}{_TABLE_EXCEPTIONAL}")
+    return f"{p:<9}  0           {_TABLE_BOTH}{x:<6}  {y:<6}  {cells}{_TABLE_CONSISTENT}"
 
 
 #: each --format: its header line (None for none) and the function that renders a
@@ -123,11 +155,19 @@ def record_lines(records: Iterable[VerdictRecord], fmt: str) -> Iterable[str]:
         yield line(*_facts(rec))
 
 
-def _scan_chunk(fmt: str, bounds: tuple[int, int]) -> tuple[bytes, dict, list[int]]:
+def _scan_chunk(fmt: str, bounds: tuple[int, int]) -> tuple[bytearray, dict, list[int]]:
     # one chunk of `trib11 scan --format FMT`: its lines, each ended by a newline,
-    # as UTF-8 bytes, with its class counts and violations
-    lines, class_counts, violations = verifier._chunk(_format(fmt)[1], bounds)
-    return "\n".join([*lines, ""]).encode(), class_counts, violations
+    # as UTF-8 bytes, with its class counts and violations.  Each block of lines is
+    # joined and encoded as it comes, so the chunk never holds all its lines as a
+    # list, their joined text and its bytes at once.
+    rows = bytearray()
+
+    def add_block(lines: list[str]) -> None:
+        lines.append("")
+        rows.extend("\n".join(lines).encode())
+
+    class_counts, violations = verifier._chunk(_format(fmt)[1], add_block, bounds)
+    return rows, class_counts, violations
 
 
 def summary_line(report: ScanReport) -> str:
@@ -146,14 +186,17 @@ def cmd_scan(start: int, stop: int, workers: int, fmt: str, out: str | None) -> 
     """Scan all primes in [FROM, TO) and report equivalence violations."""
     report = ScanReport(start, stop)
     header = _format(fmt)[0]
-    chunks = verifier._map_chunks(partial(_scan_chunk, fmt), start, stop, workers)
+    verifier._check(start, stop, workers)  # so that a refused scan opens no --out file
     sink = open(out, "wb") if out is not None else nullcontext(sys.stdout.buffer)
-    # the stream is closed on leaving, so its workers end then, not when it is collected
-    with closing(verifier._tally(report, chunks)) as rows, sink as fh:
+    with sink as fh:
         if header is not None:
             fh.write(f"{header}\n".encode())
-        for part in rows:
-            fh.write(part)
+        # each chunk's rows are written to fh by the process that computed them; the
+        # stream is closed on leaving, so its workers end then, not when it is collected
+        chunks = verifier._map_chunks(partial(_scan_chunk, fmt), start, stop, workers, fh)
+        with closing(verifier._tally(report, chunks)) as written:
+            for _ in written:
+                pass
     print(summary_line(report))
     return 0 if report.status == "OK" else 2
 

@@ -109,8 +109,18 @@ def _small_powers(count):
 #: bits of n that `_xpow` reads from `_X_POWERS` instead of the ladder
 _TABLE_BITS = 10
 
-#: x^k in Z[x]/(f), exact, for k < 2**_TABLE_BITS
-_X_POWERS = _small_powers(1 << _TABLE_BITS)
+#: x^k in Z[x]/(f), exact, for k < 2**_TABLE_BITS; built by `_x_powers` on first
+#: use, so that a process that computes no x^p, such as the parent of a pooled
+#: scan, never holds its 0.25 MB
+_X_POWERS = None
+
+
+def _x_powers():
+    # _X_POWERS, built if it is not yet
+    global _X_POWERS
+    if _X_POWERS is None:
+        _X_POWERS = _small_powers(1 << _TABLE_BITS)
+    return _X_POWERS
 
 
 def _xpow(n, m, a=0):
@@ -127,7 +137,7 @@ def _xpow(n, m, a=0):
         r0, r1, r2 = 1, 0, 0
     else:
         low = bits[_TABLE_BITS:]
-        r0, r1, r2 = _X_POWERS[n >> len(low)]
+        r0, r1, r2 = _x_powers()[n >> len(low)]
         r0, r1, r2 = r0 % m, r1 % m, r2 % m
         if not low:
             return r0, r1, r2
@@ -169,6 +179,7 @@ def _residues_and_shapes(primes):
     # x^q in F_q[x]/(f).
     from array import array  # loaded by the processes that compute chunks only
 
+    x_powers = _x_powers()
     residues = array("q")
     shapes = []
     add_residue, add_shape = residues.append, shapes.append
@@ -185,7 +196,7 @@ def _residues_and_shapes(primes):
             g = q - prev
             if g:
                 # r * x^g, folding x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1
-                s0, s1, s2 = _X_POWERS[g] if g < 1 << _TABLE_BITS else _xpow(g, m)
+                s0, s1, s2 = x_powers[g] if g < 1 << _TABLE_BITS else _xpow(g, m)
                 c3 = r1 * s2 + r2 * s1
                 c4 = r2 * s2
                 t = c3 + c4

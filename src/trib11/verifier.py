@@ -15,8 +15,9 @@ any other disagreement flags the whole report as FAILED.
 A chunk runs in phases, each over all of its primes: the primes, then
 their residues and shapes, then one loop that takes each prime's
 representation, counts classes and violations, and renders each row from
-the five facts p, residue, shape, x and y.  Only `scan` and `verdict`
-build a `VerdictRecord`; the CLI renders its lines from the facts.
+the five facts p, residue, shape, x and y, handing the rows on in blocks
+of 512.  Only `scan` and `verdict` build a `VerdictRecord`; the CLI
+renders its lines from the facts and encodes each block as it fills.
 
 Scans are deterministic regardless of worker count: the range is cut
 into fixed chunks, each chunk is processed by pure functions, and the
@@ -25,14 +26,18 @@ computed as they are consumed, so any range of the domain runs in
 bounded memory.
 
 With W > 1 workers a scan forks W processes.  Worker i computes chunks
-i, i + W, i + 2W, ... and writes each result to its own pipe as one
-pickle, which frames itself; the parent reads chunk k from pipe k mod W.
-A pickle larger than the pipe's buffer holds its worker until the parent
-reads it, so at most about one finished chunk per worker waits.  A
-worker leaves only through `os._exit`.  The parent kills and reaps every
-worker when the stream ends, fails or is closed.  Call a scan with W > 1
-from a process that runs no other thread, as with any fork.  Where
-`os.fork` does not exist, a scan runs in process.
+i, i + W, i + 2W, ... and sends each result on its own pipe as one
+pickle, which frames itself, but only on its turn: the parent grants
+chunk k its turn with one byte on the turn pipe of worker k mod W, then
+reads chunk k's result from that worker's result pipe.  So at most one
+finished chunk per worker waits, in its worker.  A CLI scan passes its
+output file: the worker then writes chunk k's rendered rows to it on its
+turn, before it sends the chunk's counts, so rows never cross a pipe and
+the parent never holds them.  A worker leaves only through `os._exit`.
+The parent kills and reaps every worker when the stream ends, fails or
+is closed.  Call a scan with W > 1 from a process that runs no other
+thread, as with any fork.  Where `os.fork` does not exist, a scan runs
+in process.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from __future__ import annotations
 import os
 import sys
 from contextlib import closing
-from functools import partial
 from typing import Iterator, NamedTuple, NoReturn
 
 from .gfext import FrobeniusClass, Shape, _residues_and_shapes
@@ -127,54 +131,94 @@ def _record(p: int, residue: int, shape: Shape, x: int | None, y: int | None) ->
                          shape, shape.frobenius_class, consistent, not consistent)
 
 
-def _chunk(row, bounds: tuple[int, int]) -> tuple[list, dict[FrobeniusClass, int], list[int]]:
-    # (rows, class counts, violations) of the chunk: row(p, residue, shape, x, y)
-    # for each of its primes, ascending; the one place a scan counts them.  The
-    # representations never read the residue.  They stream into the last loop:
-    # a list of them raised the peak RSS of a scan of [2, 10**6) by 0.24 MB.
-    # array is loaded here, not with the module, so that the parent of a pooled
-    # scan, which computes no chunk, does not load it: that cost 0.25 MB of the
-    # parent's peak RSS in a two-worker scan near 10**9.
+#: rows of a chunk that go to its emit function at once
+_BLOCK = 512
+
+
+def _chunk(row, emit, bounds: tuple[int, int]) -> tuple[dict[FrobeniusClass, int], list[int]]:
+    # (class counts, violations) of the chunk, the one place a scan counts them.
+    # Its rows, row(p, residue, shape, x, y) for each of its primes ascending, go
+    # to emit in lists of _BLOCK rows, the last one shorter; a chunk with no
+    # prime emits none.  The blocks cost no work per row: each zips slices of
+    # the phases.  The representations never read the residue.  They stream into
+    # the last loop: a list of them raised the peak RSS of a scan of [2, 10**6)
+    # by 0.24 MB.  array is loaded here, not with the module, so that the parent
+    # of a pooled scan, which computes no chunk, does not load it: that cost
+    # 0.25 MB of the parent's peak RSS in a two-worker scan near 10**9.
     from array import array
 
     lo, hi = bounds
     primes = array("q", primes_in_range(lo, hi))
     residues, shapes = _residues_and_shapes(primes)
     representations = map(_representations(lo, hi), primes)
-    rows = []
-    add_row = rows.append
     shape_counts = dict.fromkeys(Shape, 0)
     violations = []
-    for p, residue, shape, (x, y) in zip(primes, residues, shapes, representations):
-        shape_counts[shape] += 1
-        # divisible (residue 0) and representable (x not None) disagree
-        if (residue == 0) is (x is None):
-            violations.append(p)
-        add_row(row(p, residue, shape, x, y))
+    for i in range(0, len(primes), _BLOCK):
+        j = i + _BLOCK
+        rows = []
+        add_row = rows.append
+        # zip stops at the end of the slice of primes, before it takes a representation
+        for p, residue, shape, (x, y) in zip(primes[i:j], residues[i:j], shapes[i:j],
+                                             representations):
+            shape_counts[shape] += 1
+            # divisible (residue 0) and representable (x not None) disagree
+            if (residue == 0) is (x is None):
+                violations.append(p)
+            add_row(row(p, residue, shape, x, y))
+        emit(rows)
     class_counts = dict.fromkeys(FrobeniusClass, 0)
     for shape, n in shape_counts.items():
         class_counts[shape.frobenius_class] += n
-    return rows, class_counts, violations
+    return class_counts, violations
 
 
-def _map_chunks(chunk_fn, lo: int, hi: int, workers: int) -> Iterator:
+def _records(bounds: tuple[int, int]) -> tuple[list, dict[FrobeniusClass, int], list[int]]:
+    # scan's chunk: (its records, class counts, violations)
+    records = []
+    class_counts, violations = _chunk(_record, records.extend, bounds)
+    return records, class_counts, violations
+
+
+def _check(lo: int, hi: int, workers: int) -> None:
+    # ValueError unless [lo, hi) lies in the domain and there is a worker
+    if not 2 <= lo <= hi <= MAX_MODULUS:
+        raise ValueError(f"need 2 <= lo <= hi <= 2**63, got [{lo}, {hi})")
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
+
+
+def _map_chunks(chunk_fn, lo: int, hi: int, workers: int, out=None) -> Iterator:
     """chunk_fn over the fixed chunks of [lo, hi), its results streamed in order.
 
     The range and the worker count are checked at once, before any chunk
     is computed or any worker exists, and at most one worker per chunk and
     per CPU is started, or none where the OS cannot fork.  The stream is a
     generator: close it to end its workers before it is exhausted.
+
+    With `out`, a binary file, each result is a tuple (rows, ...) whose
+    rows are bytes-like.  The process that computed a chunk writes its rows to
+    out, in chunk order, and the stream yields the result with b"" for
+    them, so a pooled stream's parent never holds a chunk's rows.
     """
-    if not 2 <= lo <= hi <= MAX_MODULUS:
-        raise ValueError(f"need 2 <= lo <= hi <= 2**63, got [{lo}, {hi})")
-    if workers < 1:
-        raise ValueError(f"need workers >= 1, got {workers}")
+    _check(lo, hi, workers)
     starts = range(lo, hi, _CHUNK)
     workers = min(workers, len(starts), _usable_cpus() if hasattr(os, "fork") else 1)
     if workers <= 1:
-        return (chunk_fn(bounds) for bounds in _bounds(starts, hi))
+        chunks = _bounds(starts, hi)
+        if out is None:
+            return (chunk_fn(bounds) for bounds in chunks)
+        return (_written(out, chunk_fn(bounds)) for bounds in chunks)
     stripes = [_bounds(starts[i::workers], hi) for i in range(workers)]
-    return _pooled(chunk_fn, stripes, len(starts))
+    return _pooled(chunk_fn, stripes, len(starts), out)
+
+
+def _written(out, part: tuple) -> tuple:
+    # part, a chunk's (rows, ...), once its rows are written to out and flushed,
+    # with b"" in their place; the rows are freed when this returns
+    rows, *rest = part
+    out.write(rows)
+    out.flush()
+    return (b"", *rest)
 
 
 def _bounds(starts: range, hi: int) -> Iterator[tuple[int, int]]:
@@ -191,25 +235,35 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pooled(chunk_fn, stripes: list[Iterator[tuple[int, int]]], n_chunks: int) -> Iterator:
+def _pooled(chunk_fn, stripes: list[Iterator[tuple[int, int]]], n_chunks: int, out) -> Iterator:
     # the n_chunks results in order, chunk k from worker k mod W, where worker i is
-    # forked to compute the chunks of stripes[i]
+    # forked to compute the chunks of stripes[i].  The parent grants each chunk its
+    # turn, in order, with one byte on its worker's turn pipe, and then reads its
+    # result; the worker sends that result, and first writes its rows to out when
+    # out is given, only once its turn has come.
     import pickle  # noqa: F401  (loaded before the forks, so that no worker loads it)
 
-    pids, pipes = [], []
+    if out is not None:
+        out.flush()  # what the caller wrote comes before any worker's rows
+    pids, results, grants = [], [], []
     try:
         for stripe in stripes:
             read_end, write_end = os.pipe()
-            pipes.append(open(read_end, "rb"))
-            with open(write_end, "wb") as out:  # the parent's copy closes on leaving
+            results.append(open(read_end, "rb"))
+            turn_end, grant_end = os.pipe()
+            grants.append(open(grant_end, "wb", buffering=0))
+            # the parent's copies of the worker's ends close on leaving
+            with open(turn_end, "rb", buffering=0) as turn, open(write_end, "wb") as send:
                 pid = os.fork()
                 if pid == 0:
-                    _work(chunk_fn, stripe, out, pipes)
+                    _work(chunk_fn, stripe, turn, send, out, results + grants)
             pids.append(pid)
         for k in range(n_chunks):
-            yield _receive(pipes[k % len(pipes)], k)
+            i = k % len(pids)
+            _grant(grants[i])
+            yield _receive(results[i], k)
     finally:
-        for pipe in pipes:
+        for pipe in results + grants:
             pipe.close()
         # signalled before reaped, so no pid can be reused in between
         for pid in pids:
@@ -218,26 +272,43 @@ def _pooled(chunk_fn, stripes: list[Iterator[tuple[int, int]]], n_chunks: int) -
             os.waitpid(pid, 0)
 
 
-def _work(chunk_fn, stripe: Iterator[tuple[int, int]], out, read_ends) -> NoReturn:
-    # a forked worker: one pickle per chunk of its stripe, (None, result), or
-    # (exc, None) when chunk_fn raises, which ends the stripe.  It closes the
-    # pipes' read ends it inherited, so that it meets EPIPE once the parent is
-    # gone, and it leaves only through os._exit, so it runs none of the
-    # parent's finally blocks or atexit hooks and flushes no inherited buffer:
-    # a pickle cut short by an error ends the pipe as a truncated stream.
+def _grant(grant) -> None:
+    # a worker's turn.  A worker that is gone is not an error here: it shows as
+    # the end of its result pipe, where _receive reads it.
+    try:
+        grant.write(b"\0")
+    except BrokenPipeError:
+        pass
+
+
+def _work(chunk_fn, stripe: Iterator[tuple[int, int]], turn, send, out, inherited) -> NoReturn:
+    # a forked worker: for each chunk of its stripe, once its turn has come, the
+    # chunk's rows written to out (when out is given) and one pickle on send,
+    # (None, result), or (exc, None) when chunk_fn or the write raises, which
+    # ends the stripe.  A chunk that raises is sent without waiting for its turn;
+    # the parent reads it only at its turn.  The worker closes the parent's ends
+    # of the pipes, so that it meets EOF and EPIPE once the parent is gone, and
+    # it leaves only through os._exit, so it runs none of the parent's finally
+    # blocks or atexit hooks and flushes no inherited buffer: a pickle cut short
+    # by an error ends the pipe as a truncated stream.
     import pickle
 
     code = 1
     try:
-        for pipe in read_ends:
+        for pipe in inherited:
             pipe.close()
         for bounds in stripe:
             try:
-                error, part = None, chunk_fn(bounds)
+                part = chunk_fn(bounds)
+                if not turn.read(1):
+                    break  # the parent closed the stream
+                if out is not None:
+                    part = _written(out, part)
+                error = None
             except Exception as exc:
                 error, part = exc, None
-            pickle.dump((error, part), out)
-            out.flush()
+            pickle.dump((error, part), send)
+            send.flush()
             if error is not None:
                 break
         code = 0
@@ -290,7 +361,7 @@ def scan(lo: int, hi: int, workers: int = 1) -> ScanReport:
     and are reported, not suppressed.
     """
     report = ScanReport(lo, hi)
-    chunks = _map_chunks(partial(_chunk, _record), lo, hi, workers)
+    chunks = _map_chunks(_records, lo, hi, workers)
     with closing(_tally(report, chunks)) as rows:
         for part in rows:
             report.records += part

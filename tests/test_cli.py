@@ -18,6 +18,7 @@ from trib11.cli import (
     _csv_line, _jsonl_obj, _row, _scan_chunk, _table_line, _table_row, main, record_lines,
     summary_line,
 )
+from trib11.gfext import Shape
 from trib11.modmath import MAX_MODULUS, is_prime
 from trib11.verifier import scan, verdict
 
@@ -227,6 +228,20 @@ def test_rows_render_as_the_reference_formulas():
         ), rec
 
 
+@pytest.mark.parametrize("shape", list(Shape))
+def test_table_rows_pad_the_facts_as_the_csv_cells(shape):
+    # the reference: the CSV line cut into its cells, each padded to its column
+    def reference(*facts):
+        return _table_line(_csv_line(*facts).split(","))
+
+    # every combination of a zero or nonzero residue and x None or not, with
+    # numbers narrower and wider than their columns
+    for p in (2, 47, 1_000_003, 2**63 - 25):
+        for residue in (0, 1, 12345678901):
+            for x, y in ((None, None), (0, 1), (6, 1), (1234567, 7654321)):
+                assert _table_row(p, residue, shape, x, y) == reference(p, residue, shape, x, y)
+
+
 def test_scan_table(capsys):
     rc, out, _ = run(capsys, "scan", "--from", "2", "--to", "20")
     assert rc == 0
@@ -250,7 +265,7 @@ def test_scan_empty(capsys):
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "jsonl"])
 def test_a_scan_chunk_comes_back_rendered(fmt):
-    # what a worker sends the CLI: the chunk's lines as bytes, its counts and violations
+    # a chunk of the CLI's scan: its lines as bytes, its counts and violations
     report = scan(2, 20000)
     chunk = _scan_chunk(fmt, (2, 20000))
     lines = list(record_lines(report.records, fmt))[fmt != "jsonl":]  # no header
@@ -518,6 +533,77 @@ def test_a_worker_that_dies_is_one_error_line():
         assert (proc.returncode, err) == (1, "error: a scan worker ended before sending chunk 1\n")
         assert out.startswith(f"{CSV_HEADER}\n2,")
         assert not _kill_group(proc)
+
+
+#: a two-worker CSV scan of [2, 200000) in which {code} kills chunk 1's worker
+_KILLED_WORKER = """\
+import os, signal, sys, time
+from trib11 import cli, verifier
+parent = os.getpid()
+{code}
+verifier._usable_cpus = lambda: 2
+sys.exit(cli.main(['scan', '--to', '200000', '--workers', '2', '--format', 'csv']))
+"""
+
+_DIES_WAITING = """\
+scan_chunk = cli._scan_chunk
+ready = sys.argv[1]
+def waits(fmt, bounds):
+    # chunk 1 is done and waits for its turn, which chunk 0 holds up until it
+    # has killed chunk 1's worker there
+    part = scan_chunk(fmt, bounds)
+    if bounds[0] == 2 + (1 << 15):
+        with open(ready, "w") as f:
+            f.write(str(os.getpid()))
+    elif bounds[0] == 2:
+        while not os.path.exists(ready) or not open(ready).read():
+            time.sleep(0.01)
+        time.sleep(0.2)
+        os.kill(int(open(ready).read()), signal.SIGKILL)
+    return part
+cli._scan_chunk = waits
+"""
+
+_DIES_WRITING = """\
+written = verifier._written
+def dies_writing(out, part):
+    # chunk 1's worker writes 1000 bytes of its rows, then is killed
+    if os.getpid() != parent and not part[0].startswith(b"2,"):
+        out.write(part[0][:1000])
+        out.flush()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return written(out, part)
+verifier._written = dies_writing
+"""
+
+
+@pytest.mark.parametrize("code, written", [(_DIES_WAITING, 0), (_DIES_WRITING, 1000)],
+                         ids=["waiting", "writing"])
+def test_a_worker_killed_at_its_turn_is_one_error_line(tmp_path, code, written):
+    # killed while it waits for its turn, or while it writes its rows on its turn:
+    # the output keeps chunk 0 and what chunk 1 wrote, and the scan neither hangs
+    # nor leaves a worker
+    records = scan(2, 2 + (1 << 15)).records
+    chunk_0 = "".join(f"{line}\n" for line in record_lines(records, "csv"))  # and the header
+    with capped_child("-c", _KILLED_WORKER.format(code=code), str(tmp_path / "ready")) as proc:
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, "error: a scan worker ended before sending chunk 1\n")
+        assert out.startswith(chunk_0) and len(out) == len(chunk_0) + written
+        assert not _kill_group(proc)
+
+
+def test_a_pooled_parent_builds_no_power_table():
+    # the table of x^k is built by the processes that compute chunks; a two-worker
+    # scan's parent computes none, and a one-worker scan's process computes them all
+    code = (
+        "import sys\n"
+        "from trib11 import cli, gfext, verifier\n"
+        "verifier._usable_cpus = lambda: 2\n"
+        "rc = cli.main(['scan', '--to', '70000', '--workers', sys.argv[1], '--format', 'csv'])\n"
+        "print(gfext._X_POWERS is None, file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    assert [run_capped("-c", code, workers).stderr for workers in ("2", "1")] == ["True\n", "False\n"]
 
 
 def test_closed_stdout_is_an_exit_code_not_an_exception(monkeypatch, capsys):

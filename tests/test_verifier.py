@@ -162,8 +162,10 @@ def pools(monkeypatch):
     """Stand-in for verifier._pooled that forks nothing; each pool's worker count, in order."""
     made = []
 
-    def serial_pool(chunk_fn, stripes, n_chunks):
-        # chunk k from stripe k mod W, as the forked workers send them
+    def serial_pool(chunk_fn, stripes, n_chunks, out):
+        # chunk k from stripe k mod W, as the forked workers send them; a scan
+        # keeps its records, so it passes no output file
+        assert out is None
         made.append(len(stripes))
         parts = [map(chunk_fn, stripe) for stripe in stripes]
         return (next(parts[k % len(parts)]) for k in range(n_chunks))
@@ -264,6 +266,33 @@ def test_an_exception_in_a_worker_is_raised_at_its_chunk(monkeypatch):
     with pytest.raises(ZeroDivisionError, match="^chunk 3$"):
         next(stream)
     _no_child_left()
+
+
+@pytest.mark.parametrize("failing", [2, 3])
+def test_an_exception_in_a_writing_worker_leaves_the_rows_before_its_chunk(
+    monkeypatch, tmp_path, failing
+):
+    monkeypatch.setattr(verifier, "_CHUNK", 100)
+    _allow_cpus(monkeypatch, 2)
+
+    def fails(bounds):
+        # a CLI-style chunk: its rows as bytes, then what the stream yields
+        k = (bounds[0] - 2) // 100
+        if k == failing:
+            raise ZeroDivisionError(f"chunk {k}")
+        return f"rows of chunk {k}\n".encode(), k
+
+    path = tmp_path / "out"
+    with open(path, "wb") as out:
+        out.write(b"header\n")
+        stream = verifier._map_chunks(fails, 2, 10_000, 2, out)
+        assert [next(stream) for _ in range(failing)] == [(b"", k) for k in range(failing)]
+        with pytest.raises(ZeroDivisionError, match=f"^chunk {failing}$"):
+            next(stream)
+    _no_child_left()
+    assert path.read_bytes() == b"header\n" + b"".join(
+        f"rows of chunk {k}\n".encode() for k in range(failing)
+    )
 
 
 def test_a_worker_that_dies_fails_the_scan(monkeypatch):
