@@ -260,7 +260,10 @@ def _pooled(chunk_fn, stripes: list[Iterator[tuple[int, int]]], n_chunks: int, o
             pids.append(pid)
         for k in range(n_chunks):
             i = k % len(pids)
-            _grant(grants[i])
+            try:
+                grants[i].write(b"\0")  # chunk k's turn
+            except BrokenPipeError:
+                pass  # a worker that is gone shows as the end of its result pipe
             yield _receive(results[i], k)
     finally:
         for pipe in results + grants:
@@ -270,15 +273,6 @@ def _pooled(chunk_fn, stripes: list[Iterator[tuple[int, int]]], n_chunks: int, o
             os.kill(pid, _SIGKILL)
         for pid in pids:
             os.waitpid(pid, 0)
-
-
-def _grant(grant) -> None:
-    # a worker's turn.  A worker that is gone is not an error here: it shows as
-    # the end of its result pipe, where _receive reads it.
-    try:
-        grant.write(b"\0")
-    except BrokenPipeError:
-        pass
 
 
 def _work(chunk_fn, stripe: Iterator[tuple[int, int]], turn, send, out, inherited) -> NoReturn:
