@@ -23,7 +23,6 @@ import argparse
 import os
 import sys
 from contextlib import closing, nullcontext
-from functools import partial
 from typing import Iterable
 
 from . import verifier
@@ -155,21 +154,6 @@ def record_lines(records: Iterable[VerdictRecord], fmt: str) -> Iterable[str]:
         yield line(*_facts(rec))
 
 
-def _scan_chunk(fmt: str, bounds: tuple[int, int]) -> tuple[bytearray, dict, list[int]]:
-    # one chunk of `trib11 scan --format FMT`: its lines, each ended by a newline,
-    # as UTF-8 bytes, with its class counts and violations.  Each block of lines is
-    # joined and encoded as it comes, so the chunk never holds all its lines as a
-    # list, their joined text and its bytes at once.
-    rows = bytearray()
-
-    def add_block(lines: list[str]) -> None:
-        lines.append("")
-        rows.extend("\n".join(lines).encode())
-
-    class_counts, violations = verifier._chunk(_format(fmt)[1], add_block, bounds)
-    return rows, class_counts, violations
-
-
 def summary_line(report: ScanReport) -> str:
     return f"violations: {report.violations}"
 
@@ -185,17 +169,30 @@ def cmd_verdict(p: int) -> int:
 def cmd_scan(start: int, stop: int, workers: int, fmt: str, out: str | None) -> int:
     """Scan all primes in [FROM, TO) and report equivalence violations."""
     report = ScanReport(start, stop)
-    header = _format(fmt)[0]
+    header, line = _format(fmt)
     verifier._check(start, stop, workers)  # so that a refused scan opens no --out file
     sink = open(out, "wb") if out is not None else nullcontext(sys.stdout.buffer)
     with sink as fh:
         if header is not None:
             fh.write(f"{header}\n".encode())
-        # each chunk's rows are written to fh by the process that computed them; the
-        # stream is closed on leaving, so its workers end then, not when it is collected
-        chunks = verifier._map_chunks(partial(_scan_chunk, fmt), start, stop, workers, fh)
-        with closing(verifier._tally(report, chunks)) as written:
-            for _ in written:
+        fh.flush()  # forked workers inherit fh's buffer, which must not repeat the header
+
+        def write(lines: list[str]) -> None:
+            lines.append("")
+            fh.write("\n".join(lines).encode())
+
+        def finish(facts: tuple) -> tuple[tuple, dict, list[int]]:
+            # at the chunk's turn, in the process that computed its facts: each
+            # block of its lines encoded and written to fh as it fills, then
+            # flushed, so that no rows cross a pipe; only its counts are returned
+            class_counts, violations = verifier._finish(line, write, facts)
+            fh.flush()
+            return (), class_counts, violations
+
+        # the stream is closed on leaving, so its workers end then, not when it is collected
+        chunks = verifier._map_chunks(finish, start, stop, workers)
+        with closing(verifier._tally(report, chunks)) as tallied:
+            for _ in tallied:
                 pass
     print(summary_line(report))
     return 0 if report.status == "OK" else 2
@@ -343,6 +340,3 @@ def _command(argv: list[str] | None) -> int:
         return 1 if exc.code else 0
     run = args.pop("run")
     return run(**args)
-
-if __name__ == "__main__":
-    sys.exit(main())

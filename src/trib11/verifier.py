@@ -12,12 +12,14 @@ that kernel.  Outside the two known exceptional primes 11 and 19 the
 first two must agree (and both must match the completely-split shape);
 any other disagreement flags the whole report as FAILED.
 
-A chunk runs in phases, each over all of its primes: the primes, then
-their residues and shapes, then one loop that takes each prime's
-representation, counts classes and violations, and renders each row from
-the five facts p, residue, shape, x and y, handing the rows on in blocks
-of 512.  Only `scan` and `verdict` build a `VerdictRecord`; the CLI
-renders its lines from the facts and encodes each block as it fills.
+A chunk runs in two phases.  Its facts come first: its primes, then
+their residues and shapes, each over all of them (`_facts`).  Then, at
+the chunk's turn, one loop takes each prime's representation, counts
+classes and violations, and renders each row from the five facts p,
+residue, shape, x and y, handing the rows on in blocks of 512 (`_finish`).
+Only `scan` and `verdict` build a `VerdictRecord`; the CLI renders its
+lines from the facts and writes each block to its output as it fills, so
+no process holds more than one block of a chunk's rendered rows.
 
 Scans are deterministic regardless of worker count: the range is cut
 into fixed chunks, each chunk is processed by pure functions, and the
@@ -25,14 +27,14 @@ results are merged back in ascending order.  They stream: chunks are
 computed as they are consumed, so any range of the domain runs in
 bounded memory.
 
-With W > 1 workers a scan forks W processes.  Worker i computes chunks
-i, i + W, i + 2W, ... and sends each result on its own pipe as one
-pickle, which frames itself, but only on its turn: the parent grants
-chunk k its turn with one byte on the turn pipe of worker k mod W, then
-reads chunk k's result from that worker's result pipe.  So at most one
-finished chunk per worker waits, in its worker.  A CLI scan passes its
-output file: the worker then writes chunk k's rendered rows to it on its
-turn, before it sends the chunk's counts, so rows never cross a pipe and
+With W > 1 workers a scan forks W processes.  Worker i computes the
+facts of chunks i, i + W, i + 2W, ..., each ahead of its turn: the parent
+grants chunk k its turn with one byte on the turn pipe of worker k mod W,
+and the worker then finishes the chunk and sends what its finish returned
+on its own result pipe as one pickle, which frames itself.  So at most
+one chunk's facts per worker wait, in its worker.  The CLI's finish
+writes the chunk's rows to the output file the worker inherited and
+returns only the counts and violations, so rows never cross a pipe and
 the parent never holds them.  A worker leaves only through `os._exit`.
 The parent kills and reaps every worker when the stream ends, fails or
 is closed.  Call a scan with W > 1 from a process that runs no other
@@ -135,21 +137,27 @@ def _record(p: int, residue: int, shape: Shape, x: int | None, y: int | None) ->
 _BLOCK = 512
 
 
-def _chunk(row, emit, bounds: tuple[int, int]) -> tuple[dict[FrobeniusClass, int], list[int]]:
-    # (class counts, violations) of the chunk, the one place a scan counts them.
-    # Its rows, row(p, residue, shape, x, y) for each of its primes ascending, go
-    # to emit in lists of _BLOCK rows, the last one shorter; a chunk with no
-    # prime emits none.  The blocks cost no work per row: each zips slices of
-    # the phases.  The representations never read the residue.  They stream into
-    # the last loop: a list of them raised the peak RSS of a scan of [2, 10**6)
-    # by 0.24 MB.  array is loaded here, not with the module, so that the parent
-    # of a pooled scan, which computes no chunk, does not load it: that cost
-    # 0.25 MB of the parent's peak RSS in a two-worker scan near 10**9.
+def _facts(bounds: tuple[int, int]) -> tuple:
+    # the chunk's (lo, hi, primes, residues, shapes), computed ahead of its turn.
+    # array is loaded here, not with the module, so that the parent of a pooled
+    # scan, which computes no chunk, does not load it: that cost 0.25 MB of the
+    # parent's peak RSS in a two-worker scan near 10**9.
     from array import array
 
     lo, hi = bounds
     primes = array("q", primes_in_range(lo, hi))
-    residues, shapes = _residues_and_shapes(primes)
+    return (lo, hi, primes, *_residues_and_shapes(primes))
+
+
+def _finish(row, emit, facts: tuple) -> tuple[dict[FrobeniusClass, int], list[int]]:
+    # (class counts, violations) of the chunk with these facts, the one place a
+    # scan counts them.  Its rows, row(p, residue, shape, x, y) for each of its
+    # primes ascending, go to emit in lists of _BLOCK rows, the last one shorter;
+    # a chunk with no prime emits none.  The blocks cost no work per row: each
+    # zips slices of the facts.  The representations never read the residue.
+    # They stream into the loop: a list of them raised the peak RSS of a scan of
+    # [2, 10**6) by 0.24 MB.
+    lo, hi, primes, residues, shapes = facts
     representations = map(_representations(lo, hi), primes)
     shape_counts = dict.fromkeys(Shape, 0)
     violations = []
@@ -172,10 +180,10 @@ def _chunk(row, emit, bounds: tuple[int, int]) -> tuple[dict[FrobeniusClass, int
     return class_counts, violations
 
 
-def _records(bounds: tuple[int, int]) -> tuple[list, dict[FrobeniusClass, int], list[int]]:
-    # scan's chunk: (its records, class counts, violations)
+def _records(facts: tuple) -> tuple[list, dict[FrobeniusClass, int], list[int]]:
+    # scan's finish: the chunk's (records, class counts, violations)
     records = []
-    class_counts, violations = _chunk(_record, records.extend, bounds)
+    class_counts, violations = _finish(_record, records.extend, facts)
     return records, class_counts, violations
 
 
@@ -187,38 +195,27 @@ def _check(lo: int, hi: int, workers: int) -> None:
         raise ValueError(f"need workers >= 1, got {workers}")
 
 
-def _map_chunks(chunk_fn, lo: int, hi: int, workers: int, out=None) -> Iterator:
-    """chunk_fn over the fixed chunks of [lo, hi), its results streamed in order.
+def _map_chunks(finish, lo: int, hi: int, workers: int) -> Iterator:
+    """finish(_facts(bounds)) over the fixed chunks of [lo, hi), streamed in order.
+
+    A chunk runs in two phases.  `_facts` computes its primes, residues and
+    shapes ahead of its turn; `finish` then runs at the chunk's turn, in
+    chunk order, in the process that computed its facts, so it may write
+    the chunk's rows to an output file that process inherited.  The stream
+    yields what finish returns.
 
     The range and the worker count are checked at once, before any chunk
     is computed or any worker exists, and at most one worker per chunk and
     per CPU is started, or none where the OS cannot fork.  The stream is a
     generator: close it to end its workers before it is exhausted.
-
-    With `out`, a binary file, each result is a tuple (rows, ...) whose
-    rows are bytes-like.  The process that computed a chunk writes its rows to
-    out, in chunk order, and the stream yields the result with b"" for
-    them, so a pooled stream's parent never holds a chunk's rows.
     """
     _check(lo, hi, workers)
     starts = range(lo, hi, _CHUNK)
     workers = min(workers, len(starts), _usable_cpus() if hasattr(os, "fork") else 1)
     if workers <= 1:
-        chunks = _bounds(starts, hi)
-        if out is None:
-            return (chunk_fn(bounds) for bounds in chunks)
-        return (_written(out, chunk_fn(bounds)) for bounds in chunks)
+        return (finish(_facts(bounds)) for bounds in _bounds(starts, hi))
     stripes = [_bounds(starts[i::workers], hi) for i in range(workers)]
-    return _pooled(chunk_fn, stripes, len(starts), out)
-
-
-def _written(out, part: tuple) -> tuple:
-    # part, a chunk's (rows, ...), once its rows are written to out and flushed,
-    # with b"" in their place; the rows are freed when this returns
-    rows, *rest = part
-    out.write(rows)
-    out.flush()
-    return (b"", *rest)
+    return _pooled(finish, stripes, len(starts))
 
 
 def _bounds(starts: range, hi: int) -> Iterator[tuple[int, int]]:
@@ -235,16 +232,14 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pooled(chunk_fn, stripes: list[Iterator[tuple[int, int]]], n_chunks: int, out) -> Iterator:
+def _pooled(finish, stripes: list[Iterator[tuple[int, int]]], n_chunks: int) -> Iterator:
     # the n_chunks results in order, chunk k from worker k mod W, where worker i is
     # forked to compute the chunks of stripes[i].  The parent grants each chunk its
     # turn, in order, with one byte on its worker's turn pipe, and then reads its
-    # result; the worker sends that result, and first writes its rows to out when
-    # out is given, only once its turn has come.
+    # result; the worker runs finish on the chunk's facts, and sends what it
+    # returns, only once its turn has come.
     import pickle  # noqa: F401  (loaded before the forks, so that no worker loads it)
 
-    if out is not None:
-        out.flush()  # what the caller wrote comes before any worker's rows
     pids, results, grants = [], [], []
     try:
         for stripe in stripes:
@@ -256,7 +251,7 @@ def _pooled(chunk_fn, stripes: list[Iterator[tuple[int, int]]], n_chunks: int, o
             with open(turn_end, "rb", buffering=0) as turn, open(write_end, "wb") as send:
                 pid = os.fork()
                 if pid == 0:
-                    _work(chunk_fn, stripe, turn, send, out, results + grants)
+                    _work(finish, stripe, turn, send, results + grants)
             pids.append(pid)
         for k in range(n_chunks):
             i = k % len(pids)
@@ -275,16 +270,15 @@ def _pooled(chunk_fn, stripes: list[Iterator[tuple[int, int]]], n_chunks: int, o
             os.waitpid(pid, 0)
 
 
-def _work(chunk_fn, stripe: Iterator[tuple[int, int]], turn, send, out, inherited) -> NoReturn:
-    # a forked worker: for each chunk of its stripe, once its turn has come, the
-    # chunk's rows written to out (when out is given) and one pickle on send,
-    # (None, result), or (exc, None) when chunk_fn or the write raises, which
-    # ends the stripe.  A chunk that raises is sent without waiting for its turn;
-    # the parent reads it only at its turn.  The worker closes the parent's ends
-    # of the pipes, so that it meets EOF and EPIPE once the parent is gone, and
-    # it leaves only through os._exit, so it runs none of the parent's finally
-    # blocks or atexit hooks and flushes no inherited buffer: a pickle cut short
-    # by an error ends the pipe as a truncated stream.
+def _work(finish, stripe: Iterator[tuple[int, int]], turn, send, inherited) -> NoReturn:
+    # a forked worker: for each chunk of its stripe, its facts, then, once its turn
+    # has come, one pickle on send, (None, finish(facts)), or (exc, None) when
+    # _facts or finish raises, which ends the stripe.  A chunk whose facts raise is
+    # sent without waiting for its turn; the parent reads it only at its turn.  The
+    # worker closes the parent's ends of the pipes, so that it meets EOF and EPIPE
+    # once the parent is gone, and it leaves only through os._exit, so it runs none
+    # of the parent's finally blocks or atexit hooks and flushes no inherited
+    # buffer: a pickle cut short by an error ends the pipe as a truncated stream.
     import pickle
 
     code = 1
@@ -293,11 +287,10 @@ def _work(chunk_fn, stripe: Iterator[tuple[int, int]], turn, send, out, inherite
             pipe.close()
         for bounds in stripe:
             try:
-                part = chunk_fn(bounds)
+                facts = _facts(bounds)
                 if not turn.read(1):
                     break  # the parent closed the stream
-                if out is not None:
-                    part = _written(out, part)
+                part = finish(facts)
                 error = None
             except Exception as exc:
                 error, part = exc, None

@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 import trib11
+from trib11 import verifier
 from trib11.cli import (
-    _csv_line, _jsonl_obj, _row, _scan_chunk, _table_line, _table_row, main, record_lines,
-    summary_line,
+    _csv_line, _jsonl_obj, _row, _table_line, _table_row, main, record_lines, summary_line,
 )
 from trib11.gfext import Shape
 from trib11.modmath import MAX_MODULUS, is_prime
@@ -264,14 +264,25 @@ def test_scan_empty(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv", "jsonl"])
-def test_a_scan_chunk_comes_back_rendered(fmt):
-    # a chunk of the CLI's scan: its lines as bytes, its counts and violations
+def test_a_scan_chunk_comes_back_rendered(monkeypatch, capsys, fmt):
+    # a chunk of the CLI's scan reaches stdout rendered, and what its finish
+    # returns, which a worker would pickle, is only its counts and violations
     report = scan(2, 20000)
-    chunk = _scan_chunk(fmt, (2, 20000))
-    lines = list(record_lines(report.records, fmt))[fmt != "jsonl":]  # no header
-    rows = "".join(f"{line}\n" for line in lines).encode()
-    assert chunk == (rows, report.class_counts, [11, 19])
-    assert b"VerdictRecord" not in pickle.dumps(chunk)
+    parts = []
+    map_chunks = verifier._map_chunks
+
+    def kept(*args):
+        for part in map_chunks(*args):
+            parts.append(part)
+            yield part
+
+    monkeypatch.setattr(verifier, "_map_chunks", kept)
+    lines = "".join(f"{line}\n" for line in record_lines(report.records, fmt))
+    assert run(capsys, "scan", "--to", "20000", "--format", fmt) == (
+        0, f"{lines}violations: [11, 19]\n", ""
+    )
+    assert parts == [((), report.class_counts, [11, 19])]
+    assert b"VerdictRecord" not in pickle.dumps(parts)
 
 
 def test_scan_usage_errors(capsys):
@@ -518,12 +529,12 @@ def test_a_worker_that_dies_is_one_error_line():
     code = (
         "import os, signal, sys\n"
         "from trib11 import cli, verifier\n"
-        "scan_chunk = cli._scan_chunk\n"
-        "def dies(fmt, bounds):\n"
+        "facts = verifier._facts\n"
+        "def dies(bounds):\n"
         "    if bounds[0] != 2:\n"
         "        os.kill(os.getpid(), signal.SIGKILL)\n"
-        "    return scan_chunk(fmt, bounds)\n"
-        "cli._scan_chunk = dies\n"
+        "    return facts(bounds)\n"
+        "verifier._facts = dies\n"
         "verifier._usable_cpus = lambda: 2\n"
         "sys.exit(cli.main(['scan', '--to', '200000', '--workers', '2', '--format', 'csv']))\n"
     )
@@ -545,12 +556,12 @@ sys.exit(cli.main(['scan', '--to', '200000', '--workers', '2', '--format', 'csv'
 """
 
 _DIES_WAITING = """\
-scan_chunk = cli._scan_chunk
+facts = verifier._facts
 ready = sys.argv[1]
-def waits(fmt, bounds):
-    # chunk 1 is done and waits for its turn, which chunk 0 holds up until it
-    # has killed chunk 1's worker there
-    part = scan_chunk(fmt, bounds)
+def waits(bounds):
+    # chunk 1's facts are done and wait for its turn, which chunk 0 holds up
+    # until it has killed chunk 1's worker there
+    part = facts(bounds)
     if bounds[0] == 2 + (1 << 15):
         with open(ready, "w") as f:
             f.write(str(os.getpid()))
@@ -560,35 +571,111 @@ def waits(fmt, bounds):
         time.sleep(0.2)
         os.kill(int(open(ready).read()), signal.SIGKILL)
     return part
-cli._scan_chunk = waits
+verifier._facts = waits
 """
 
 _DIES_WRITING = """\
-written = verifier._written
-def dies_writing(out, part):
-    # chunk 1's worker writes 1000 bytes of its rows, then is killed
-    if os.getpid() != parent and not part[0].startswith(b"2,"):
-        out.write(part[0][:1000])
-        out.flush()
+finish = verifier._finish
+def dies_writing(row, emit, facts):
+    # chunk 1's worker writes the first block of its rows, then is killed
+    def emits_once(rows):
+        emit(rows)
+        sys.stdout.buffer.flush()
         os.kill(os.getpid(), signal.SIGKILL)
-    return written(out, part)
-verifier._written = dies_writing
+    return finish(row, emit if os.getpid() == parent or facts[0] == 2 else emits_once, facts)
+verifier._finish = dies_writing
 """
 
 
-@pytest.mark.parametrize("code, written", [(_DIES_WAITING, 0), (_DIES_WRITING, 1000)],
+@pytest.mark.parametrize("code, rows", [(_DIES_WAITING, 0), (_DIES_WRITING, verifier._BLOCK)],
                          ids=["waiting", "writing"])
-def test_a_worker_killed_at_its_turn_is_one_error_line(tmp_path, code, written):
-    # killed while it waits for its turn, or while it writes its rows on its turn:
-    # the output keeps chunk 0 and what chunk 1 wrote, and the scan neither hangs
-    # nor leaves a worker
-    records = scan(2, 2 + (1 << 15)).records
-    chunk_0 = "".join(f"{line}\n" for line in record_lines(records, "csv"))  # and the header
+def test_a_worker_killed_at_its_turn_is_one_error_line(tmp_path, code, rows):
+    # killed while it waits for its turn, or once it has written the first block of
+    # its rows on its turn: the output is the header, chunk 0 and the rows chunk 1
+    # wrote, and the scan neither hangs nor leaves a worker
+    records = scan(2, 200000).records[:len(scan(2, 2 + (1 << 15)).records) + rows]
+    written = "".join(f"{line}\n" for line in record_lines(records, "csv"))  # and the header
     with capped_child("-c", _KILLED_WORKER.format(code=code), str(tmp_path / "ready")) as proc:
         out, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (1, "error: a scan worker ended before sending chunk 1\n")
-        assert out.startswith(chunk_0) and len(out) == len(chunk_0) + written
+        assert out == written
         assert not _kill_group(proc)
+
+
+#: a CLI scan, in a child process, with blocks of 5 rows and chunks 100 wide, that
+#: logs which process computes each chunk's facts and which finishes it, in the order
+#: they happen
+_SMALL_BLOCKS = """\
+import os, sys, time
+from trib11 import cli, verifier
+verifier._BLOCK, verifier._CHUNK = 5, 100
+verifier._usable_cpus = lambda: 2
+log, *argv = sys.argv[1:]
+facts, finish = verifier._facts, verifier._finish
+def logged(phase, lo):
+    with open(log, "a") as f:
+        f.write(f"{phase} {lo} {os.getpid()}\\n")
+def logged_facts(bounds):
+    if bounds[0] == 2:
+        time.sleep(0.2)  # chunk 0 comes late, so a chunk finished before its turn shows
+    logged("facts", bounds[0])
+    return facts(bounds)
+def logged_finish(row, emit, chunk):
+    logged("finish", chunk[0])
+    return finish(row, emit, chunk)
+verifier._facts, verifier._finish = logged_facts, logged_finish
+sys.exit(cli.main(argv))
+"""
+
+
+class _Writes(io.BytesIO):
+    # a binary stdout that keeps each write apart
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, b):
+        self.writes.append(bytes(b))
+        return super().write(b)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "jsonl"])
+def test_a_scan_writes_each_block_at_its_chunk_s_turn(monkeypatch, tmp_path, fmt):
+    # ten chunks of a few blocks each: the same bytes as scan's records from one
+    # worker and from two, on stdout and through --out; each chunk finishes in
+    # chunk order in the process that computed its facts; and a one-worker scan
+    # writes each block as one write
+    monkeypatch.setattr(verifier, "_BLOCK", 5)
+    monkeypatch.setattr(verifier, "_CHUNK", 100)
+    records = scan(2, 1000).records
+    lines = [f"{line}\n".encode() for line in record_lines(records, fmt)]
+    header, rows = lines[:fmt != "jsonl"], lines[fmt != "jsonl":]
+    summary = b"violations: [11, 19]\n"
+    starts = range(2, 1000, 100)
+    blocks = []
+    for lo in starts:
+        chunk = [row for rec, row in zip(records, rows) if lo <= rec.p < lo + 100]
+        blocks += [b"".join(chunk[i:i + 5]) for i in range(0, len(chunk), 5)]
+    sink = _Writes()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(sink))
+    assert main(["scan", "--to", "1000", "--format", fmt]) == 0
+    assert sink.writes == [*header, *blocks, summary]
+    expected = b"".join(lines) + summary
+    for workers in ("1", "2"):
+        for out in (None, tmp_path / f"{fmt}-{workers}"):
+            log = tmp_path / "log"
+            log.unlink(missing_ok=True)
+            args = ("scan", "--to", "1000", "--workers", workers, "--format", fmt)
+            proc = run_capped("-c", _SMALL_BLOCKS, str(log), *args,
+                              *(() if out is None else ("--out", str(out))))
+            assert proc.returncode == 0, proc.stderr
+            written = proc.stdout if out is None else out.read_text() + proc.stdout
+            assert written.encode() == expected
+            entries = [line.split() for line in log.read_text().splitlines()]
+            computed = {int(lo): pid for phase, lo, pid in entries if phase == "facts"}
+            finished = [(int(lo), pid) for phase, lo, pid in entries if phase == "finish"]
+            assert finished == [(lo, computed[lo]) for lo in starts]
+            assert len(set(computed.values())) == int(workers)
 
 
 def test_a_pooled_parent_builds_no_power_table():

@@ -2,7 +2,6 @@ import logging
 import os
 import signal
 import time
-from functools import partial
 
 import pytest
 
@@ -162,12 +161,10 @@ def pools(monkeypatch):
     """Stand-in for verifier._pooled that forks nothing; each pool's worker count, in order."""
     made = []
 
-    def serial_pool(chunk_fn, stripes, n_chunks, out):
-        # chunk k from stripe k mod W, as the forked workers send them; a scan
-        # keeps its records, so it passes no output file
-        assert out is None
+    def serial_pool(finish, stripes, n_chunks):
+        # chunk k from stripe k mod W, finished in chunk order, as the forked workers send them
         made.append(len(stripes))
-        parts = [map(chunk_fn, stripe) for stripe in stripes]
+        parts = [(finish(verifier._facts(bounds)) for bounds in stripe) for stripe in stripes]
         return (next(parts[k % len(parts)]) for k in range(n_chunks))
 
     monkeypatch.setattr(verifier, "_pooled", serial_pool)
@@ -228,18 +225,25 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _index(bounds):
+    # the number of a chunk of [2, ...) when chunks are 100 wide
+    return (bounds[0] - 2) // 100
+
+
 def test_parallel_scan_keeps_few_chunks_in_flight(monkeypatch, tmp_path):
     monkeypatch.setattr(verifier, "_CHUNK", 100)
     _allow_cpus(monkeypatch, 2)
     log = tmp_path / "starts"
 
     def logged(bounds):
-        # logs its chunk, then returns a result larger than a pipe's buffer
+        # logs each chunk whose facts are computed
         with open(log, "a") as f:
-            f.write(f"{(bounds[0] - 2) // 100}\n")
-        return bytes(1 << 20)
+            f.write(f"{_index(bounds)}\n")
+        return bounds
 
-    stream = verifier._map_chunks(logged, 2, MAX_MODULUS, 2)
+    monkeypatch.setattr(verifier, "_facts", logged)
+    # each chunk finishes as a result larger than a pipe's buffer
+    stream = verifier._map_chunks(lambda bounds: bytes(1 << 20), 2, MAX_MODULUS, 2)
     try:
         assert next(stream) == bytes(1 << 20)
         started = sorted(map(int, _settled(log)))
@@ -255,44 +259,43 @@ def test_an_exception_in_a_worker_is_raised_at_its_chunk(monkeypatch):
     monkeypatch.setattr(verifier, "_CHUNK", 100)
     _allow_cpus(monkeypatch, 2)
 
-    def fails_on_3(bounds):
-        k = (bounds[0] - 2) // 100
+    def fails_on_3(k):
         if k == 3:
             raise ZeroDivisionError(f"chunk {k}")
         return [k]
 
-    stream = verifier._map_chunks(fails_on_3, 2, 10_000, 2)
-    assert [next(stream) for _ in range(3)] == [[0], [1], [2]]
-    with pytest.raises(ZeroDivisionError, match="^chunk 3$"):
-        next(stream)
-    _no_child_left()
+    # raised ahead of chunk 3's turn by its facts, or at its turn by its finish
+    for facts, finish in ((lambda bounds: fails_on_3(_index(bounds)), lambda part: part),
+                          (_index, fails_on_3)):
+        monkeypatch.setattr(verifier, "_facts", facts)
+        stream = verifier._map_chunks(finish, 2, 10_000, 2)
+        assert [next(stream) for _ in range(3)] == [[0], [1], [2]]
+        with pytest.raises(ZeroDivisionError, match="^chunk 3$"):
+            next(stream)
+        _no_child_left()
 
 
 @pytest.mark.parametrize("failing", [2, 3])
 def test_an_exception_in_a_writing_worker_leaves_the_rows_before_its_chunk(
     monkeypatch, tmp_path, failing
 ):
+    # a two-worker CLI scan to --out whose chunk `failing` raises
     monkeypatch.setattr(verifier, "_CHUNK", 100)
     _allow_cpus(monkeypatch, 2)
+    facts = verifier._facts
 
     def fails(bounds):
-        # a CLI-style chunk: its rows as bytes, then what the stream yields
-        k = (bounds[0] - 2) // 100
-        if k == failing:
-            raise ZeroDivisionError(f"chunk {k}")
-        return f"rows of chunk {k}\n".encode(), k
+        if _index(bounds) == failing:
+            raise ZeroDivisionError(f"chunk {failing}")
+        return facts(bounds)
 
+    monkeypatch.setattr(verifier, "_facts", fails)
     path = tmp_path / "out"
-    with open(path, "wb") as out:
-        out.write(b"header\n")
-        stream = verifier._map_chunks(fails, 2, 10_000, 2, out)
-        assert [next(stream) for _ in range(failing)] == [(b"", k) for k in range(failing)]
-        with pytest.raises(ZeroDivisionError, match=f"^chunk {failing}$"):
-            next(stream)
+    with pytest.raises(ZeroDivisionError, match=f"^chunk {failing}$"):
+        cli.cmd_scan(2, 10_000, 2, "csv", str(path))
     _no_child_left()
-    assert path.read_bytes() == b"header\n" + b"".join(
-        f"rows of chunk {k}\n".encode() for k in range(failing)
-    )
+    records = scan(2, 2 + 100 * failing).records  # the header and chunks 0 .. failing - 1
+    assert path.read_text() == "".join(f"{line}\n" for line in cli.record_lines(records, "csv"))
 
 
 def test_a_worker_that_dies_fails_the_scan(monkeypatch):
@@ -304,9 +307,10 @@ def test_a_worker_that_dies_fails_the_scan(monkeypatch):
         # worker 1 dies on chunk 1, worker 0 on chunk 2, once chunk 0 is sent
         if bounds[0] != 2 and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return [bounds]
+        return bounds
 
-    stream = verifier._map_chunks(dies_after_chunk_0, 2, 10_000, 2)
+    monkeypatch.setattr(verifier, "_facts", dies_after_chunk_0)
+    stream = verifier._map_chunks(lambda bounds: [bounds], 2, 10_000, 2)
     assert next(stream) == [(2, 102)]
     with pytest.raises(ChildProcessError, match="^a scan worker ended before sending chunk 1$"):
         next(stream)
@@ -361,10 +365,10 @@ def test_a_worker_that_fails_while_sending_fails_the_scan(monkeypatch, fail, mes
     monkeypatch.setattr(verifier, "_CHUNK", 100)
     _allow_cpus(monkeypatch, 2)
 
-    def fails_on_1(bounds):
-        k = (bounds[0] - 2) // 100
+    def fails_on_1(k):
         return fail(k) if k == 1 else [k]
 
+    monkeypatch.setattr(verifier, "_facts", _index)
     stream = verifier._map_chunks(fails_on_1, 2, 10_000, 2)
     assert next(stream) == [0]
     with pytest.raises(ChildProcessError, match=f"^{message}$") as err:
@@ -375,9 +379,9 @@ def test_a_worker_that_fails_while_sending_fails_the_scan(monkeypatch, fail, mes
 
 def test_closing_a_parallel_scan_reaps_its_workers(monkeypatch):
     _allow_cpus(monkeypatch, 2)
-    # the CLI's first chunk of [2, 2**63) from two workers, then no more
-    stream = verifier._map_chunks(partial(cli._scan_chunk, "csv"), 2, MAX_MODULUS, 2)
-    assert next(stream)[0].startswith(b"2,")
+    # scan's first chunk of [2, 2**63) from two workers, then no more
+    stream = verifier._map_chunks(verifier._records, 2, MAX_MODULUS, 2)
+    assert next(stream)[0][0].p == 2
     stream.close()
     _no_child_left()
 
