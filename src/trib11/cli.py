@@ -14,6 +14,11 @@ written and ends the command by SIGINT, also silently.  Output for fixed
 arguments is byte-identical across runs and worker counts.  The parser
 is argparse, so the command needs nothing outside the standard library.
 
+A scan renders each row from five facts: p, the residue T_{p-1} mod p,
+the shape, and x and y with p = x^2 + 11y^2 (None when there are none).
+One cell rule derives the row's flags from them, and at import each
+format renders every kind of row once through it, cut at the numbers.
+
 Set TRIB_LOG to quiet, info or debug to control diagnostics on stderr.
 """
 
@@ -22,7 +27,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import closing, nullcontext
+from contextlib import nullcontext
 from typing import Iterable
 
 from . import verifier
@@ -37,86 +42,60 @@ _TABLE_WIDTHS = (9, 10, 9, 13, 6, 6, 31, 13, 10, 11)
 
 _LOG_LEVELS = ("quiet", "info", "debug")
 
-
-#: the CSV cells of each shape and its Frobenius class, each ended by a comma
-_SHAPE_CSV = {s: f"{s._value_},{s.frobenius_class._value_}," for s in Shape}
-
-#: the JSON members of each shape and its Frobenius class, each ended by ", "
-_SHAPE_JSON = {
-    s: f'"splitting": "{s._value_}", "frobenius": "{s.frobenius_class._value_}", '
-    for s in Shape
-}
+#: stands in a row's cells for each of its numbers: p, the residue, x and y
+_NUMBER = "\0"
 
 
-def _csv_line(p: int, residue: int, shape: Shape, x: int | None, y: int | None) -> str:
-    # the record's CSV line from its five facts: p is divisible when the residue
-    # is 0 and representable when x is not None, and consistent when both agree
-    if x is None:
-        if residue:
-            return f"{p},{residue},false,false,,,{_SHAPE_CSV[shape]}true,false"
-        return f"{p},0,true,false,,,{_SHAPE_CSV[shape]}false,true"
-    if residue:
-        return f"{p},{residue},false,true,{x},{y},{_SHAPE_CSV[shape]}false,true"
-    return f"{p},0,true,true,{x},{y},{_SHAPE_CSV[shape]}true,false"
-
-
-#: the last two JSON members, and the end of the object, as the facts agree or not
-_JSON_CONSISTENT = '"consistent": true, "exceptional": false}'
-_JSON_EXCEPTIONAL = '"consistent": false, "exceptional": true}'
-
-
-def _jsonl_obj(p: int, residue: int, shape: Shape, x: int | None, y: int | None) -> str:
-    # the JSON object json.dumps writes for the record's keys, in their order,
-    # with the flags read off the facts as in _csv_line
-    div = '"divisible": false, ' if residue else '"divisible": true, '
-    if x is None:
-        rep = '"representable": false, "rep_x": null, "rep_y": null, '
-        flags = _JSON_CONSISTENT if residue else _JSON_EXCEPTIONAL
-    else:
-        rep = f'"representable": true, "rep_x": {x}, "rep_y": {y}, '
-        flags = _JSON_EXCEPTIONAL if residue else _JSON_CONSISTENT
-    return f'{{"p": {p}, "trib_residue": {residue}, {div}{rep}{_SHAPE_JSON[shape]}{flags}'
+def _cells(shape: Shape, divisible: bool, representable: bool) -> tuple[str, ...]:
+    # a row's ten cells, with _NUMBER for each number and "" for an absent x and y.
+    # The one place the flags follow from the facts: p | T_{p-1} is divisible,
+    # p = x^2 + 11y^2 representable, and the row is consistent when both agree
+    consistent = divisible == representable
+    xy = _NUMBER if representable else ""
+    word = {True: "true", False: "false"}
+    return (_NUMBER, _NUMBER, word[divisible], word[representable], xy, xy,
+            shape.value, shape.frobenius_class.value, word[consistent], word[not consistent])
 
 
 def _table_line(cells: Iterable[str]) -> str:
-    return "  ".join(c.ljust(w) for c, w in zip(cells, _TABLE_WIDTHS)).rstrip()
+    # each cell padded to its column, but a _NUMBER, which the line's format spec pads
+    padded = (c if c == _NUMBER else c.ljust(w) for c, w in zip(cells, _TABLE_WIDTHS))
+    return "  ".join(padded).rstrip()
 
 
-def _padded(*cells: str, column: int) -> str:
-    # cells from the table's column `column` on, each padded to its width and
-    # followed by the two spaces between columns
-    return "".join(f"{c.ljust(w)}  " for c, w in zip(cells, _TABLE_WIDTHS[column:]))
+def _jsonl_join(cells: Iterable[str]) -> str:
+    # the object json.dumps writes for the cells under the CSV columns' keys: the
+    # shape and class names quoted, an absent x and y null
+    members = (f'"{key}": "{c}"' if key in ("splitting", "frobenius") else f'"{key}": {c or "null"}'
+               for key, c in zip(CSV_COLUMNS, cells))
+    return f"{{{', '.join(members)}}}"
 
 
-#: the padded cells of each shape and its Frobenius class
-_SHAPE_TABLE = {s: _padded(s._value_, s.frobenius_class._value_, column=6) for s in Shape}
+def _builder(join, specs: tuple[str, ...] = ("", "", "", "")):
+    # the line function of the format whose rows join renders.  Each row kind is
+    # rendered once and cut at its numbers, which the line puts back formatted by
+    # specs (those of p, the residue, x and y); the kinds are looked up by x
+    # present, then shape, then a zero residue, with no tuple built per row
+    def cuts(representable: bool) -> dict:
+        return {shape: tuple(tuple(join(_cells(shape, divisible, representable)).split(_NUMBER))
+                             for divisible in (False, True)) for shape in Shape}
 
-#: the padded divisible and representable cells, as p is divisible or representable,
-#: with the empty rep_x and rep_y where it is not representable
-_TABLE_NEITHER = _padded("false", "false", "", "", column=2)
-_TABLE_DIVISIBLE = _padded("true", "false", "", "", column=2)
-_TABLE_REPRESENTABLE = _padded("false", "true", column=2)
-_TABLE_BOTH = _padded("true", "true", column=2)
+    absent, present = cuts(False), cuts(True)
+    p_spec, residue_spec, x_spec, y_spec = specs
 
-#: the last two cells, consistent padded and exceptional not, as the facts agree or not
-_TABLE_CONSISTENT = _padded("true", column=8) + "false"
-_TABLE_EXCEPTIONAL = _padded("false", column=8) + "true"
+    def line(p: int, residue: int, shape: Shape, x: int | None, y: int | None) -> str:
+        if x is None:
+            a, b, c = absent[shape][residue == 0]
+            return f"{a}{p:{p_spec}}{b}{residue:{residue_spec}}{c}"
+        a, b, c, d, e = present[shape][residue == 0]
+        return f"{a}{p:{p_spec}}{b}{residue:{residue_spec}}{c}{x:{x_spec}}{d}{y:{y_spec}}{e}"
+
+    return line
 
 
-def _table_row(p: int, residue: int, shape: Shape, x: int | None, y: int | None) -> str:
-    # the table line from the five facts, read as in _csv_line; the widths of p,
-    # the residue, x and y are _TABLE_WIDTHS' 9, 10, 6 and 6, and only the last
-    # cell, never empty, goes unpadded
-    cells = _SHAPE_TABLE[shape]
-    if x is None:
-        if residue:
-            return f"{p:<9}  {residue:<10}  {_TABLE_NEITHER}{cells}{_TABLE_CONSISTENT}"
-        return f"{p:<9}  0           {_TABLE_DIVISIBLE}{cells}{_TABLE_EXCEPTIONAL}"
-    if residue:
-        return (f"{p:<9}  {residue:<10}  {_TABLE_REPRESENTABLE}{x:<6}  {y:<6}  "
-                f"{cells}{_TABLE_EXCEPTIONAL}")
-    return f"{p:<9}  0           {_TABLE_BOTH}{x:<6}  {y:<6}  {cells}{_TABLE_CONSISTENT}"
-
+_csv_line = _builder(",".join)
+_jsonl_obj = _builder(_jsonl_join)
+_table_row = _builder(_table_line, tuple(f"<{_TABLE_WIDTHS[i]}" for i in (0, 1, 4, 5)))
 
 #: each --format: its header line (None for none) and the function that renders a
 #: record from its five facts
@@ -170,30 +149,26 @@ def cmd_scan(start: int, stop: int, workers: int, fmt: str, out: str | None) -> 
     """Scan all primes in [FROM, TO) and report equivalence violations."""
     report = ScanReport(start, stop)
     header, line = _format(fmt)
-    verifier._check(start, stop, workers)  # so that a refused scan opens no --out file
-    sink = open(out, "wb") if out is not None else nullcontext(sys.stdout.buffer)
-    with sink as fh:
+
+    def write(lines: list[str]) -> None:
+        lines.append("")
+        fh.write("\n".join(lines).encode())
+
+    def finish(facts: tuple) -> tuple[tuple, dict, list[int]]:
+        # at the chunk's turn, in the process that computed its facts: each
+        # block of its lines encoded and written to fh as it fills, then
+        # flushed, so that no rows cross a pipe; only its counts are returned
+        class_counts, violations = verifier._finish(line, write, facts)
+        fh.flush()
+        return (), class_counts, violations
+
+    # the range is checked here, so that a refused scan opens no --out file
+    chunks = verifier._map_chunks(finish, start, stop, workers)
+    with open(out, "wb") if out is not None else nullcontext(sys.stdout.buffer) as fh:
         if header is not None:
             fh.write(f"{header}\n".encode())
         fh.flush()  # forked workers inherit fh's buffer, which must not repeat the header
-
-        def write(lines: list[str]) -> None:
-            lines.append("")
-            fh.write("\n".join(lines).encode())
-
-        def finish(facts: tuple) -> tuple[tuple, dict, list[int]]:
-            # at the chunk's turn, in the process that computed its facts: each
-            # block of its lines encoded and written to fh as it fills, then
-            # flushed, so that no rows cross a pipe; only its counts are returned
-            class_counts, violations = verifier._finish(line, write, facts)
-            fh.flush()
-            return (), class_counts, violations
-
-        # the stream is closed on leaving, so its workers end then, not when it is collected
-        chunks = verifier._map_chunks(finish, start, stop, workers)
-        with closing(verifier._tally(report, chunks)) as tallied:
-            for _ in tallied:
-                pass
+        verifier._tally(report, chunks)
     print(summary_line(report))
     return 0 if report.status == "OK" else 2
 

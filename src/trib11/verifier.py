@@ -19,7 +19,10 @@ classes and violations, and renders each row from the five facts p,
 residue, shape, x and y, handing the rows on in blocks of 512 (`_finish`).
 Only `scan` and `verdict` build a `VerdictRecord`; the CLI renders its
 lines from the facts and writes each block to its output as it fills, so
-no process holds more than one block of a chunk's rendered rows.
+no process holds more than one block of a chunk's rendered rows.  Both
+drain their stream of chunks through one tally (`_tally`), which sums
+the counts into the report and keeps whatever rows a finish returns:
+`scan`'s records, and none from the CLI.
 
 Scans are deterministic regardless of worker count: the range is cut
 into fixed chunks, each chunk is processed by pure functions, and the
@@ -187,14 +190,6 @@ def _records(facts: tuple) -> tuple[list, dict[FrobeniusClass, int], list[int]]:
     return records, class_counts, violations
 
 
-def _check(lo: int, hi: int, workers: int) -> None:
-    # ValueError unless [lo, hi) lies in the domain and there is a worker
-    if not 2 <= lo <= hi <= MAX_MODULUS:
-        raise ValueError(f"need 2 <= lo <= hi <= 2**63, got [{lo}, {hi})")
-    if workers < 1:
-        raise ValueError(f"need workers >= 1, got {workers}")
-
-
 def _map_chunks(finish, lo: int, hi: int, workers: int) -> Iterator:
     """finish(_facts(bounds)) over the fixed chunks of [lo, hi), streamed in order.
 
@@ -209,7 +204,10 @@ def _map_chunks(finish, lo: int, hi: int, workers: int) -> Iterator:
     per CPU is started, or none where the OS cannot fork.  The stream is a
     generator: close it to end its workers before it is exhausted.
     """
-    _check(lo, hi, workers)
+    if not 2 <= lo <= hi <= MAX_MODULUS:
+        raise ValueError(f"need 2 <= lo <= hi <= 2**63, got [{lo}, {hi})")
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
     starts = range(lo, hi, _CHUNK)
     workers = min(workers, len(starts), _usable_cpus() if hasattr(os, "fork") else 1)
     if workers <= 1:
@@ -323,19 +321,19 @@ def _receive(pipe, k: int):
     return part
 
 
-def _tally(report: ScanReport, chunks: Iterator) -> Iterator:
-    # the rows of each chunk of report's range, once its class counts and
-    # violations are added to report's, with a debug line per chunk and the info
-    # summary when the stream ends; closing this stream closes chunks, and with
-    # them a scan's workers
+def _tally(report: ScanReport, chunks: Iterator) -> None:
+    # drain chunks, the stream of report's range: each chunk's rows go to report's
+    # records and its class counts and violations to report's, with a debug line
+    # per chunk and the info summary at the end.  The stream is closed on leaving,
+    # so a scan's workers end then, not when it is collected.
     n_chunks = len(range(report.lo, report.hi, _CHUNK))
     with closing(chunks):
         for i, (rows, class_counts, violations) in enumerate(chunks, 1):
+            report.records += rows
             for cls, n in class_counts.items():
                 report.class_counts[cls] += n
             report.violations += violations
             _log("debug", "chunk %d/%d done (%d primes so far)", i, n_chunks, report.n_primes)
-            yield rows
     _log("info", "scan [%d, %d): %d primes, violations %s, status %s",
          report.lo, report.hi, report.n_primes, report.violations, report.status)
 
@@ -348,8 +346,5 @@ def scan(lo: int, hi: int, workers: int = 1) -> ScanReport:
     and are reported, not suppressed.
     """
     report = ScanReport(lo, hi)
-    chunks = _map_chunks(_records, lo, hi, workers)
-    with closing(_tally(report, chunks)) as rows:
-        for part in rows:
-            report.records += part
+    _tally(report, _map_chunks(_records, lo, hi, workers))
     return report

@@ -3,7 +3,9 @@
 Run with `pytest tests/test_acceptance.py -v -s`.  The million-range scans
 are session fixtures shared by the criteria that need them; everything is
 checked at exact tolerance except the class-density sanity check, which
-is statistical by nature.  A last test holds the scan's stdout to the
+is statistical by nature.  One more test checks the paper's proof in
+closed form: the norm that leaves only 19, and each Frobenius class's
+form for T_{p-1} mod p.  A last test holds the scan's stdout to the
 SHA-256s the benchmark pins in `bench/pinned.json`.
 """
 
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from trib11.cli import main, record_lines, summary_line
-from trib11.gfext import FrobeniusClass, Shape, splitting_type
+from trib11.gfext import FrobeniusClass, Shape, _gcd_shape, splitting_type
 from trib11.modmath import ModPrime, _sqrt_mod, is_prime, jacobi, primes_in_range
 from trib11.quadform import represent, represent_bruteforce
 from trib11.tribonacci import build_root_context, trib_exact, trib_mod, trib_via_roots
@@ -107,6 +109,56 @@ def test_criterion_06_proof_obstructions(million_scan):
     assert report.checked[FrobeniusClass.RAMIFIED] == 2
     _pass(6, "class obstructions hold over [2, 1000000): identity divides, "
              "transposition only via 38, 3-cycle never")
+
+
+#: 22 T_{p-1} at a transposition prime, as a polynomial in its root a of f in F_p:
+#: 19a^2 - 18a - 13, coefficients from the constant term up
+TRANSPOSITION_NUMERATOR = (-13, -18, 19)
+
+
+def _times_x(v):
+    # x (v0 + v1 x + v2 x^2) in Z[x]/(f), where x^3 = x^2 + x + 1
+    v0, v1, v2 = v
+    return v2, v0 + v2, v1 + v2
+
+
+def test_the_norm_and_the_class_forms_leave_only_19():
+    # The paper's proof in exact checks.  T_{p-1} mod p has one closed form per
+    # Frobenius class: 0 for the identity, 19a^2 - 18a - 13 over 22 for a
+    # transposition with its root a in F_p, and 11 T^2 = -4 for a 3-cycle.  The
+    # norm of the transposition numerator, the determinant of multiplication by
+    # it on the basis 1, x, x^2 of Z[x]/(f), is 2^2 11^2 19, so 19 is the only
+    # unramified prime where p | T_{p-1} and f does not split completely.  The
+    # forms judge the scan's residues; the scan never takes its residue from them.
+    columns = [TRANSPOSITION_NUMERATOR]
+    columns += [_times_x(columns[-1]), _times_x(_times_x(columns[-1]))]
+    (a, b, c), (d, e, f), (g, h, i) = columns
+    norm = a * (e * i - f * h) - d * (b * i - c * h) + g * (b * f - c * e)
+    assert norm == 9196 == 2**2 * 11**2 * 19
+
+    counts = dict.fromkeys(FrobeniusClass, 0)
+    for rec in scan(3, 300_000).records:
+        p, t, cls = rec.p, rec.trib_residue, rec.frobenius
+        counts[cls] += 1
+        if cls is FrobeniusClass.IDENTITY:
+            assert t == 0, p
+        elif cls is FrobeniusClass.TRANSPOSITION:
+            shape, root_factor = _gcd_shape(p)  # x - a, the linear gcd of f and x^p - x
+            assert shape is rec.splitting and len(root_factor) == 2, p
+            root = -root_factor[0] % p
+            assert (root**3 - root**2 - root - 1) % p == 0, p
+            numerator = sum(c * root**k for k, c in enumerate(TRANSPOSITION_NUMERATOR))
+            assert (22 * t - numerator) % p == 0, p
+        elif cls is FrobeniusClass.THREE_CYCLE:
+            assert (11 * t * t + 4) % p == 0, p
+    assert counts == {
+        FrobeniusClass.IDENTITY: 4310,
+        FrobeniusClass.TRANSPOSITION: 13032,
+        FrobeniusClass.THREE_CYCLE: 8653,
+        FrobeniusClass.RAMIFIED: 1,  # 11
+    }
+    print("the norm of 19a^2 - 18a - 13 is 9196 = 2^2 11^2 19, and all 25,995 "
+          "unramified primes in [3, 300000) satisfy their class's form")
 
 
 def test_criterion_07_cornacchia_vs_bruteforce():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -191,55 +192,63 @@ def _cell(value):
     return str(value)
 
 
+def _reference(rec):
+    # a record's ten cells, each by the reference formula, and the dict that
+    # json.dumps renders as its JSON line
+    cells = (
+        _cell(rec.p),
+        _cell(rec.trib_residue),
+        _cell(rec.divisible),
+        _cell(rec.representable),
+        _cell(rec.rep_x),
+        _cell(rec.rep_y),
+        rec.splitting.value,
+        rec.frobenius.value,
+        _cell(rec.consistent),
+        _cell(rec.exceptional),
+    )
+    obj = {
+        "p": rec.p,
+        "trib_residue": rec.trib_residue,
+        "divisible": rec.divisible,
+        "representable": rec.representable,
+        "rep_x": rec.rep_x,
+        "rep_y": rec.rep_y,
+        "splitting": rec.splitting.value,
+        "frobenius": rec.frobenius.value,
+        "consistent": rec.consistent,
+        "exceptional": rec.exceptional,
+    }
+    return cells, obj
+
+
 def test_rows_render_as_the_reference_formulas():
     # None coordinates, both exceptions, the ramified shapes and 19-digit integers
     records = [verdict(p) for p in (2, 3, 11, 19, 47, 53, 2**63 - 25)] + scan(2, 5000).records
     for rec in records:
-        cells = (
-            _cell(rec.p),
-            _cell(rec.trib_residue),
-            _cell(rec.divisible),
-            _cell(rec.representable),
-            _cell(rec.rep_x),
-            _cell(rec.rep_y),
-            rec.splitting.value,
-            rec.frobenius.value,
-            _cell(rec.consistent),
-            _cell(rec.exceptional),
-        )
+        cells, obj = _reference(rec)
         # a scan's chunk renders a line from five facts; the flags follow from them
         facts = rec.p, rec.trib_residue, rec.splitting, rec.rep_x, rec.rep_y
         assert _csv_line(*facts) == ",".join(cells), rec
         assert _row(rec) == cells, rec
         assert _table_row(*facts) == _table_line(cells), rec
-        assert _jsonl_obj(*facts) == json.dumps(
-            {
-                "p": rec.p,
-                "trib_residue": rec.trib_residue,
-                "divisible": rec.divisible,
-                "representable": rec.representable,
-                "rep_x": rec.rep_x,
-                "rep_y": rec.rep_y,
-                "splitting": rec.splitting.value,
-                "frobenius": rec.frobenius.value,
-                "consistent": rec.consistent,
-                "exceptional": rec.exceptional,
-            }
-        ), rec
+        assert _jsonl_obj(*facts) == json.dumps(obj), rec
 
 
 @pytest.mark.parametrize("shape", list(Shape))
 def test_table_rows_pad_the_facts_as_the_csv_cells(shape):
-    # the reference: the CSV line cut into its cells, each padded to its column
-    def reference(*facts):
-        return _table_line(_csv_line(*facts).split(","))
-
-    # every combination of a zero or nonzero residue and x None or not, with
-    # numbers narrower and wider than their columns
+    # every row kind in every format against its reference: the record's cells
+    # joined by commas, padded to their columns, and its dict as json.dumps
+    # writes it.  Each combination of a zero or nonzero residue and x None or
+    # not, with numbers narrower and wider than their columns
     for p in (2, 47, 1_000_003, 2**63 - 25):
         for residue in (0, 1, 12345678901):
             for x, y in ((None, None), (0, 1), (6, 1), (1234567, 7654321)):
-                assert _table_row(p, residue, shape, x, y) == reference(p, residue, shape, x, y)
+                facts = p, residue, shape, x, y
+                cells, obj = _reference(verifier._record(*facts))
+                assert _csv_line(*facts) == ",".join(cells), facts
+                assert _table_row(*facts) == _table_line(cells), facts
+                assert _jsonl_obj(*facts) == json.dumps(obj), facts
 
 
 def test_scan_table(capsys):
@@ -297,6 +306,14 @@ def test_scan_usage_errors(capsys):
     assert_usage_error(run(capsys, "scan", "--to", "1e6"), "trib11 scan")
 
 
+#: SHA-256 of `trib11 scan --to 70000` in each format, its summary line included
+SCAN_70000_SHA256 = {
+    "table": "5ca2614bbcff3be24abae2ce176cb8062996cbd16cd6f0d74590f4828b99645b",
+    "csv": "8271fafc392bdbbfdbf25c699b4f214ce190ccebb5dbf109c01e0680767a49eb",
+    "jsonl": "dbebf02fc5a92e4da3d1e1df0344f3c27ad70512c08495e6a87196c3fe8a247c",
+}
+
+
 def test_scan_out_file_and_worker_determinism(tmp_path):
     # three chunks, so that two workers run a pool and each writes its own rows;
     # in child processes, as the workers write to the real stdout
@@ -310,6 +327,8 @@ def test_scan_out_file_and_worker_determinism(tmp_path):
             assert to_file.stdout == "violations: [11, 19]\n"
             outputs |= {to_stdout.stdout, path.read_text() + to_file.stdout}
         assert len(outputs) == 1, fmt
+        # and the bytes themselves, the rows of 2, 11 and 19 among them
+        assert hashlib.sha256(outputs.pop().encode()).hexdigest() == SCAN_70000_SHA256[fmt]
 
 
 def test_refused_range_opens_no_output(tmp_path, capsys):
