@@ -11,9 +11,10 @@ integers would struggle with.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import compress
 from math import isqrt
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 MAX_MODULUS = 1 << 63
 
@@ -214,61 +215,81 @@ def _bpsw(n: int) -> bool:
     return False
 
 
-_SEGMENT = 1 << 16
+# a segment's width: it holds the odd numbers of 2**18 integers, a byte each,
+# so that a chunk of a scan above the narrow band (verifier._BANDS) is one
+# segment and pays once for its loop over the base primes
+_SEGMENT = 1 << 18
 
 # A range ending at or below 2**38 is sieved by every prime up to its square
 # root (at most the 43,390 below 2**19), so each survivor is prime.  Above
 # 2**38 every survivor goes to `_bpsw`, and base primes past _BASE = 2**16
 # would cost a segment more than the one base-2 test that rejects each
-# composite they strike out.  The switch sits where the two routes cost the
-# same on 2**15 scan chunks: the full sieve took 0.69x the time of the 2**16
-# base plus `_bpsw` at 10**11, 1.08x at 2**38 and 1.60x at 10**12 (in process
-# on a shared 2-vCPU x86-64 host, Python 3.11).  The stream never calls
-# `is_prime`, so the tests and the benchmark gate judge it with the 7-base
-# Miller-Rabin.
+# composite they strike out.  The switch was set where the two routes cost
+# the same on 2**15 scan chunks, with the base sieved anew for each: the full
+# sieve took 0.69x the time of the 2**16 base plus `_bpsw` at 10**11, 1.08x at
+# 2**38 and 1.60x at 10**12 (in process on a shared 2-vCPU x86-64 host,
+# Python 3.11).  With the base built once and the 2**18 chunks of a scan there,
+# it took 0.09x at 10**11, 0.12x at 2**38 and 0.18x at 10**12 (4 chunks, best
+# of 3), so the switch could move up; it stays until a workload there can claim
+# the move.  The stream never calls `is_prime`, so the tests and the benchmark
+# gate judge it with the 7-base Miller-Rabin.
 _SIEVED = 1 << 38
 _BASE = 1 << 16
+
+# the odd primes up to _odd_top, as an array('I') built on first use and grown
+# when a range needs more; a grown base is a new array, so a stream that holds
+# the old one reads it unchanged
+_odd_primes: Sequence[int] = ()
+_odd_top = 2
 
 
 def primes_in_range(lo: int, hi: int) -> Iterator[int]:
     """Yield every prime in [lo, hi) exactly once, ascending.
 
-    Segmented sieve: memory stays O(2**19 + segment) no matter how wide or
-    how high the range is, so disjoint ranges can be sieved independently.
-    Up to hi = 2**38 the base primes are all those up to sqrt(hi), so every
-    survivor is prime.  Above, the base primes stop at 2**16 and each
-    survivor is finished by Baillie-PSW: a strong base-2 test and an extra
-    strong Lucas test, which no composite below 2**64 passes.  `is_prime`
-    (7-base Miller-Rabin) is never called here, so it can judge the stream.
+    Segmented sieve over the odd numbers: memory stays O(2**19 + segment) no
+    matter how wide or how high the range is, so disjoint ranges can be
+    sieved independently.  Up to hi = 2**38 the base primes are all those
+    up to sqrt(hi), so every survivor is prime.  Above, the base primes stop
+    at 2**16 and each survivor is finished by Baillie-PSW: a strong base-2
+    test and an extra strong Lucas test, which no composite below 2**64
+    passes.  `is_prime` (7-base Miller-Rabin) is never called here, so it
+    can judge the stream.
     """
     if not 0 <= lo <= hi <= MAX_MODULUS:
         raise ValueError(f"bad range [{lo}, {hi})")
-    lo = max(lo, 2)
+    if lo <= 2 < hi:
+        yield 2
+    lo = max(lo, 3) | 1
     if lo >= hi:
         return
     sieved = hi <= _SIEVED
     top = isqrt(hi - 1) if sieved else _BASE
-    base = _prime_flags(top)
+    base = _base_primes(top)
     for seg_lo in range(lo, hi, _SEGMENT):
         seg_hi = min(seg_lo + _SEGMENT, hi)
-        seg = bytearray(b"\x01") * (seg_hi - seg_lo)
-        for q in compress(range(min(isqrt(seg_hi - 1), top) + 1), base):
-            start = max(q * q, -(-seg_lo // q) * q)
-            if start < seg_hi:
-                seg[start - seg_lo :: q] = b"\x00" * ((seg_hi - 1 - start) // q + 1)
-        survivors = compress(range(seg_lo, seg_hi), seg)
+        cells = (seg_hi - seg_lo + 1) >> 1  # cell i is the odd number seg_lo + 2i
+        seg = bytearray(b"\x01") * cells
+        half = seg_lo >> 1
+        for q in base[: bisect_right(base, min(isqrt(seg_hi - 1), top))]:
+            # the cell of q*q, or of the first odd multiple of q past seg_lo
+            i = max((q * q - seg_lo) >> 1, ((q >> 1) - half) % q)
+            if i < cells:
+                seg[i::q] = bytes((cells - 1 - i) // q + 1)
+        survivors = compress(range(seg_lo, seg_hi, 2), seg)
         yield from survivors if sieved else filter(_bpsw, survivors)
 
 
-def _prime_flags(n: int) -> bytearray:
-    # plain sieve, inclusive: flag i is 1 iff i is prime.  Only used for the
-    # base primes, so n <= 2**19; flags rather than a list of ints keep it at
-    # 512 KB at most, and 64 KB for a range above 2**38.
-    if n < 2:
-        return bytearray(n + 1)
-    s = bytearray(b"\x01") * (n + 1)
-    s[0] = s[1] = 0
-    for i in range(2, isqrt(n) + 1):
-        if s[i]:
-            s[i * i :: i] = b"\x00" * ((n - i * i) // i + 1)
-    return s
+def _base_primes(top: int) -> Sequence[int]:
+    # an array whose entries up to top are the odd primes up to top, ascending.
+    # The base grows to the least power of two at or above top, at most 2**19,
+    # and is sieved by this stream from the base below it.  array is loaded
+    # here, not with the module, so that the main process of a pooled scan,
+    # which sieves nothing, does not load it.
+    global _odd_primes, _odd_top
+    if top > _odd_top:
+        from array import array
+
+        bound = 1 << (top - 1).bit_length()
+        _odd_primes = array("I", primes_in_range(3, bound + 1))
+        _odd_top = bound
+    return _odd_primes

@@ -80,17 +80,22 @@ def _representations(lo: int, hi: int) -> Callable[[int], Representation]:
     # y.  A cell holds y + 1 for the last (x, y) written there; a prime has at
     # most one representation with x, y >= 0 (Cox, Primes of the Form x^2 + ny^2),
     # and composites, which may have several, are never read.  y < 2**16 here,
-    # so the cells are 16 bits: 64 KB for a 2**15 chunk.
+    # so the cells are 16 bits: 64 KB for a 2**15 chunk, 512 KB for a 2**18 one.
     #
     # Each row costs one isqrt: top is its largest x, at cell v.  v < 0 leaves
     # the row empty; v < 2*top - 1 means (top - 1)^2 + 11y^2 < lo, so x = top is
     # the row's only value; only a row with more takes the second isqrt for its
-    # smallest x.  Near 10**9 most rows hold one value or none.  Per prime, over
-    # 16 chunks of 2**15 (CPU time, best of 9, CPython 3.11 on a Xeon), the walk
-    # against Cornacchia costs 1.6-1.8 vs 4.3-4.4 us at 10**9, 3.1-3.6 vs 8.2-8.5
-    # at 2**32, 4.7-6.6 vs 7.8-10.3 at 2**33, 5.9-6.8 vs 8.2-10.5 at 2**34 and
-    # 8.9-11.6 vs 8.4-8.6 at 2**35, so the marks stop at 2**33, short of the
-    # crossover.
+    # smallest x.  Near 10**9 most rows hold one value or none.  The rows cost
+    # the same whatever the chunk's width, so the walk's cost per prime falls as
+    # chunks widen.  Per prime, over 16 chunks of 2**15 (CPU time, best of 9,
+    # CPython 3.11 on a Xeon), the walk against Cornacchia cost 1.6-1.8 vs
+    # 4.3-4.4 us at 10**9, 3.1-3.6 vs 8.2-8.5 at 2**32, 4.7-6.6 vs 7.8-10.3 at
+    # 2**33, 5.9-6.8 vs 8.2-10.5 at 2**34 and 8.9-11.6 vs 8.4-8.6 at 2**35; so
+    # the marks stopped at 2**33, short of that crossover.  Over 4 chunks of
+    # 2**18, the width of scan chunks there (best of 5, 2-vCPU x86-64 host), it
+    # costs 1.1 vs 4.3-4.5 us at 10**9, 2.1-2.4 vs 11.2-11.6 ending at 2**33,
+    # 2.0-2.1 vs 9.0-9.4 at 2**34 and 2.3 vs 8.9-9.4 at 2**35: no crossover up
+    # to 2**35.  _MARKED stays at 2**33 until a workload there can claim a move.
     if hi > _MARKED:
         return _cornacchia
     marks = memoryview(bytearray(2 * (hi - lo))).cast("H")

@@ -25,10 +25,11 @@ the counts into the report and keeps whatever rows a finish returns:
 `scan`'s records, and none from the CLI.
 
 Scans are deterministic regardless of worker count: the range is cut
-into fixed chunks, each chunk is processed by pure functions, and the
-results are merged back in ascending order.  They stream: chunks are
-computed as they are consumed, so any range of the domain runs in
-bounded memory.
+into fixed chunks, 2**15 wide below 2**26 and 2**18 wide above, and cut
+at 2**26 when it crosses it (`_BANDS`), so chunk bounds depend on lo and
+hi only; each chunk is processed by pure functions, and the results are
+merged back in ascending order.  They stream: chunks are computed as they
+are consumed, so any range of the domain runs in bounded memory.
 
 With W > 1 workers a scan forks W processes.  Worker i computes the
 facts of chunks i, i + W, i + 2W, ..., each ahead of its turn: the parent
@@ -59,8 +60,17 @@ from .quadform import _cornacchia, _representations
 #: the primes where divisibility and representability legitimately disagree
 KNOWN_EXCEPTIONS = frozenset({11, 19})
 
-#: chunk width for scans; fixed so results never depend on worker count
+#: the chunk width of the narrow band, from 2 up to the first of _BANDS
 _CHUNK = 1 << 15
+
+#: the bands above the narrow one, ascending, each (its lower end, its chunk
+#: width).  A chunk's width depends on its magnitude only, so results never
+#: depend on the worker count.  A chunk's fixed costs grow with sqrt(hi): the
+#: sieve's loop over the base primes and the marks' rows.  A 2**18 chunk pays
+#: them once for eight narrow ones, and took 0.84-0.93x their CPU time from
+#: 2**25 to 2**30, but 1.01-1.08x at 2**22 and 2**24, where it would also raise
+#: the peak RSS (in process, CSV rows, best of 3).
+_BANDS = ((1 << 26, 1 << 18),)
 
 #: POSIX's SIGKILL, which ends a scan's workers; the signal module is not loaded for it
 _SIGKILL = 9
@@ -191,7 +201,10 @@ def _records(facts: tuple) -> tuple[list, dict[FrobeniusClass, int], list[int]]:
 
 
 def _map_chunks(finish, lo: int, hi: int, workers: int) -> Iterator:
-    """finish(_facts(bounds)) over the fixed chunks of [lo, hi), streamed in order.
+    """finish(_facts(bounds)) over the chunks of [lo, hi), streamed in order.
+
+    Each chunk has its band's width (`_BANDS`), where the last chunk below a
+    band's lower end, or below hi, is cut short.
 
     A chunk runs in two phases.  `_facts` computes its primes, residues and
     shapes ahead of its turn; `finish` then runs at the chunk's turn, in
@@ -208,17 +221,32 @@ def _map_chunks(finish, lo: int, hi: int, workers: int) -> Iterator:
         raise ValueError(f"need 2 <= lo <= hi <= 2**63, got [{lo}, {hi})")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
-    starts = range(lo, hi, _CHUNK)
-    workers = min(workers, len(starts), _usable_cpus() if hasattr(os, "fork") else 1)
+    starts = _starts(lo, hi)
+    n_chunks = sum(map(len, starts))
+    workers = min(workers, n_chunks, _usable_cpus() if hasattr(os, "fork") else 1)
     if workers <= 1:
-        return (finish(_facts(bounds)) for bounds in _bounds(starts, hi))
-    stripes = [_bounds(starts[i::workers], hi) for i in range(workers)]
-    return _pooled(finish, stripes, len(starts))
+        return (finish(_facts(bounds)) for bounds in _bounds(starts))
+    stripes = [_bounds(starts, i, workers) for i in range(workers)]
+    return _pooled(finish, stripes, n_chunks)
 
 
-def _bounds(starts: range, hi: int) -> Iterator[tuple[int, int]]:
-    # the chunks of [lo, hi) that begin at `starts`, lazily
-    return ((c, min(c + _CHUNK, hi)) for c in starts)
+def _starts(lo: int, hi: int) -> list[range]:
+    # the starts of the chunks of [lo, hi), one range per band: its step is the
+    # band's chunk width and its stop is hi or the next band's lower end, where
+    # the band's last chunk is cut.  A band [lo, hi) does not meet is empty.
+    bands = ((0, _CHUNK), *_BANDS)
+    ends = [edge for edge, _ in bands[1:]] + [hi]
+    return [range(max(lo, edge), min(hi, end), width)
+            for (edge, width), end in zip(bands, ends)]
+
+
+def _bounds(starts: list[range], first: int = 0, step: int = 1) -> Iterator[tuple[int, int]]:
+    # the chunks first, first + step, first + 2*step, ... of those that begin at
+    # `starts`, lazily
+    for band in starts:
+        for c in band[first::step]:
+            yield c, min(c + band.step, band.stop)
+        first = (first - len(band)) % step
 
 
 def _usable_cpus() -> int:
@@ -326,7 +354,7 @@ def _tally(report: ScanReport, chunks: Iterator) -> None:
     # records and its class counts and violations to report's, with a debug line
     # per chunk and the info summary at the end.  The stream is closed on leaving,
     # so a scan's workers end then, not when it is collected.
-    n_chunks = len(range(report.lo, report.hi, _CHUNK))
+    n_chunks = sum(map(len, _starts(report.lo, report.hi)))
     with closing(chunks):
         for i, (rows, class_counts, violations) in enumerate(chunks, 1):
             report.records += rows

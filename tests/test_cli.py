@@ -761,6 +761,19 @@ def test_debug_log_reports_each_chunk(monkeypatch, workers):
     n = len(sieve_list(70000))
     summary = f"trib11.verifier: scan [2, 70000): {n} primes, violations [11, 19], status OK"
     assert summary in proc.stderr.splitlines()  # debug shows the info summary too
+    # across the switch of chunk widths: a full narrow chunk and one cut at the
+    # switch, then a full wide chunk and a short one
+    switch, wide = verifier._BANDS[0]
+    lo, hi = switch - (1 << 15) - 1000, switch + wide + 1000
+    proc = run_capped("-m", "trib11", "scan", "--from", str(lo), "--to", str(hi),
+                      "--format", "csv", "--workers", workers)
+    assert proc.returncode == 0, proc.stderr
+    ends = (switch - 1000, switch, switch + wide, hi)
+    chunk_lines = [
+        f"trib11.verifier: chunk {i}/4 done ({sum(map(is_prime, range(lo, end)))} primes so far)"
+        for i, end in enumerate(ends, 1)
+    ]
+    assert [l for l in proc.stderr.splitlines() if " chunk " in l] == chunk_lines
 
 
 def test_range_beyond_domain_is_refused_at_once():

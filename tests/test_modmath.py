@@ -273,7 +273,7 @@ def test_primes_in_range_matches_sieve():
 
 def test_primes_in_range_segment_boundaries():
     # ranges straddling the internal segment width
-    seg = 1 << 16
+    seg = modmath._SEGMENT
     got = list(primes_in_range(seg - 50, 2 * seg + 50))
     expected = [n for n in range(seg - 50, 2 * seg + 50) if trial_isprime(n)]
     assert got == expected
@@ -288,6 +288,48 @@ def test_primes_in_range_offset_start():
 def test_primes_in_range_matches_is_prime_filter():
     for lo, hi in ((0, 30000), (10**6 - 2000, 10**6)):
         assert list(primes_in_range(lo, hi)) == [n for n in range(lo, hi) if is_prime(n)]
+
+
+_SEG = modmath._SEGMENT
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (10**6, 10**6 + 3000),  # even lo
+        (10**6 + 1, 10**6 + 3001),  # odd lo
+        (1009**2, 1009**2 + 3000),  # lo at the square of a base prime
+        (1009**2 + 1, 1009**2 + 3001),  # and just past it
+        (1009**2 - 3000, 1009**2),  # hi at it: 1009 is no base prime here
+        (1009**2 - 3000, 1009**2 + 1),  # and just past it: 1009 strikes its square
+        (31607**2, 31607**2 + 3000),  # the largest base prime below sqrt(10**9)
+        (31607**2 + 2, 31607**2 + 3000),
+        (0, 3),
+        (2, 3),
+        (3, 4),
+        (4, 5),
+        (10**9 - 500, 10**9 + _SEG + 500),  # across one segment boundary
+        (10**9 - 501, 10**9 + 2 * _SEG + 500),  # across two, from an odd lo
+        (2**38 - _SEG - 1500, 2**38 - 1000),  # just below 2**38, the largest base
+        (2**38 - 2 * _SEG - 1001, 2**38 - 1000),
+    ],
+)
+def test_primes_in_range_matches_is_prime_on_the_sieve_s_edges(lo, hi):
+    assert list(primes_in_range(lo, hi)) == list(filter(is_prime, range(lo, hi)))
+
+
+def test_a_grown_base_serves_narrow_windows_and_open_streams():
+    # a stream keeps the base it began with when a later, wider range grows it;
+    # a narrow window asked for after the wide one reads the grown base only up
+    # to its own bound
+    narrow = primes_in_range(10**6, 10**6 + 3 * _SEG)
+    first = next(narrow)
+    wide = list(primes_in_range(2**38 - 3000, 2**38))
+    assert modmath._odd_primes[-1] == 524287  # the largest prime below 2**19
+    assert [first, *narrow] == list(filter(is_prime, range(10**6, 10**6 + 3 * _SEG)))
+    assert wide == list(filter(is_prime, range(2**38 - 3000, 2**38)))
+    for lo, hi in ((2, 1000), (10**6, 10**6 + 3000), (2**40, 2**40 + 3000)):
+        assert list(primes_in_range(lo, hi)) == list(filter(is_prime, range(lo, hi)))
 
 
 def _refuse(name):

@@ -4,7 +4,7 @@ import pytest
 
 from trib11.gfext import Shape, splitting_type
 from trib11.modmath import ModPrime, NotPrime, jacobi, primes_in_range
-from trib11 import quadform
+from trib11 import quadform, verifier
 from trib11.quadform import (
     _MARKED,
     BRUTEFORCE_MAX,
@@ -16,6 +16,9 @@ from trib11.quadform import (
 )
 
 from oracles import brute_rep_hits, form_values, sieve_list
+
+#: the width of scan chunks in the wide band, the band of 10**9 and of 2**33
+WIDE = verifier._BANDS[-1][1]
 
 
 def test_fixed_representations():
@@ -53,6 +56,9 @@ def test_small_primes_take_cornacchia_not_the_oracle(monkeypatch):
         (2**29 - 2**15, 2**29),
         (2**32, 2**32 + 2**15),
         (_MARKED - 2**15, _MARKED),
+        (1025853374, 1025853374 + WIDE),  # the first chunk of window_1e9_w2
+        (10**9, 10**9 + WIDE),
+        (_MARKED - WIDE, _MARKED),
     ],
 )
 def test_marks_match_cornacchia_on_scan_chunks(lo, hi):
@@ -83,9 +89,13 @@ def test_narrow_chunks_mark_exactly_the_form_values(width):
         _assert_marks_are_the_form_values(lo, lo + width)
 
 
-@pytest.mark.parametrize("lo", [10**9, _MARKED - 2**15])
-def test_full_chunks_mark_exactly_the_form_values(lo):
-    _assert_marks_are_the_form_values(lo, lo + 2**15)
+@pytest.mark.parametrize(
+    "lo, width",
+    [pytest.param(lo, width, id=f"{lo}-wide" if width == WIDE else str(lo))
+     for width in (2**15, WIDE) for lo in (10**9, _MARKED - width)],
+)
+def test_full_chunks_mark_exactly_the_form_values(lo, width):
+    _assert_marks_are_the_form_values(lo, lo + width)
 
 
 def test_marks_fit_their_16_bit_cells():

@@ -197,6 +197,52 @@ def test_scan_worker_count_is_clamped(pools, monkeypatch):
     assert len(pools) == 4
 
 
+_SWITCH, _WIDE = verifier._BANDS[0]
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (2, 5 * verifier._CHUNK + 7),  # below the switch
+        (_SWITCH - 3 * verifier._CHUNK - 5, _SWITCH + 2 * _WIDE + 9),  # across it
+        (_SWITCH - 100, _SWITCH + 100),
+        (_SWITCH - verifier._CHUNK, _SWITCH + _WIDE),  # full chunks on both sides
+        (10**9, 10**9 + 3 * _WIDE + 1),  # above it
+        (MAX_MODULUS - 2 * _WIDE - 3, MAX_MODULUS),
+    ],
+)
+def test_chunk_bounds_follow_the_band_table(monkeypatch, lo, hi):
+    # each chunk is as wide as its band, cut at the switch and at hi, and the
+    # bounds are the same from 1, 2 and 3 forked workers
+    _allow_cpus(monkeypatch, 3)
+    monkeypatch.setattr(verifier, "_facts", lambda bounds: bounds)
+    by_workers = [list(verifier._map_chunks(lambda bounds: bounds, lo, hi, w)) for w in (1, 2, 3)]
+    _no_child_left()
+    bounds = by_workers[0]
+    assert by_workers[1] == by_workers[2] == bounds
+    assert bounds[0][0] == lo and bounds[-1][1] == hi
+    assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+    for a, b in bounds:
+        width, end = (_WIDE, hi) if a >= _SWITCH else (verifier._CHUNK, min(hi, _SWITCH))
+        assert b - a == min(width, end - a), (a, b)
+    assert (lo < _SWITCH < hi) == (_SWITCH in {a for a, _ in bounds})
+    assert len(bounds) == sum(map(len, verifier._starts(lo, hi)))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_band_table_of_small_widths_gives_the_same_records(monkeypatch, workers):
+    # chunks 100 wide below 1000, 300 up to 1150, where the band holds one short
+    # chunk, and 250 above
+    expected = scan(2, 3000).records
+    monkeypatch.setattr(verifier, "_CHUNK", 100)
+    monkeypatch.setattr(verifier, "_BANDS", ((1000, 300), (1150, 250)))
+    _allow_cpus(monkeypatch, 2)
+    widths = [b - a for a, b in verifier._bounds(verifier._starts(2, 3000))]
+    assert widths == [100] * 9 + [98, 150] + [250] * 7 + [100]
+    assert scan(2, 3000, workers=workers).records == expected
+    _no_child_left()
+
+
 def test_without_fork_a_parallel_scan_runs_in_process(monkeypatch):
     monkeypatch.setattr(verifier, "_CHUNK", 100)
     _allow_cpus(monkeypatch, 2)
