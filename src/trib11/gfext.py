@@ -11,11 +11,11 @@ Every power in F_p[x]/(f) goes through one square-and-shift ladder,
 from x^p, which it takes for a chunk's primes at once
 (`_residues_and_shapes`, two flat sequences in the primes' order):
 consecutive primes whose product m reaches `_BATCH_BITS` bits share one
-ladder for x^q1 mod m, each later prime's x^q mod m is the one before
-times x^g for the gap g, and x^q mod m reduces to x^q mod q;
-`verifier.verdict` takes the batch of one.  `splitting_type`,
-`frobenius_orbit` and `tribonacci.trib_mod` take their powers prime by
-prime, so the tests judge the batched walk by them.
+ladder for x^q1 mod m, and each prime's residue is one dot product of it
+with the x^2 coefficients of the table's x^(q - q1); `verifier.verdict`
+takes the batch of one.  `splitting_type`, `frobenius_orbit` and
+`tribonacci.trib_mod` take their powers prime by prime, so the tests
+judge the batches by them.
 """
 
 from __future__ import annotations
@@ -109,17 +109,18 @@ def _small_powers(count):
 #: bits of n that `_xpow` reads from `_X_POWERS` instead of the ladder
 _TABLE_BITS = 10
 
-#: x^k in Z[x]/(f), exact, for k < 2**_TABLE_BITS; built by `_x_powers` on first
-#: use, so that a process that computes no x^p, such as the parent of a pooled
-#: scan, never holds its 0.25 MB
-_X_POWERS = None
+#: x^k in Z[x]/(f), exact, for k < 2**_TABLE_BITS, and the column of their x^2
+#: coefficients; built by `_x_powers` on first use, so that a process that
+#: computes no x^p, such as the parent of a pooled scan, never holds their 0.26 MB
+_X_POWERS = _X2 = None
 
 
 def _x_powers():
-    # _X_POWERS, built if it is not yet
-    global _X_POWERS
+    # _X_POWERS, built with _X2 if it is not yet
+    global _X_POWERS, _X2
     if _X_POWERS is None:
         _X_POWERS = _small_powers(1 << _TABLE_BITS)
+        _X2 = tuple(s[2] for s in _X_POWERS)
     return _X_POWERS
 
 
@@ -173,13 +174,16 @@ def _residues_and_shapes(primes):
     # (residues, shapes) of the ascending primes, each in their order: T_{q-1}
     # mod q, the x^2 coefficient of x^q in F_q[x]/(f), and the shape of f mod q.
     # Consecutive primes gather into a batch until their product m reaches
-    # _BATCH_BITS bits; the batch shares one ladder, for x^q1 mod m, and every
-    # later q is reached from the one before by a single product with x^g, g the
-    # gap.  Z/m -> Z/q is a ring map and f is monic, so x^q mod m taken mod q is
-    # x^q in F_q[x]/(f).
+    # _BATCH_BITS bits, or the next prime lies 2**_TABLE_BITS - 2 or more past
+    # the batch's first, q1.  The batch shares one ladder, r = x^q1 mod m.  With
+    # d = q - q1, x^q = r0 x^d + r1 x^(d+1) + r2 x^(d+2), so its x^2 coefficient
+    # is the dot product of r with t[d], t[d+1], t[d+2], t[n] the x^2 coefficient
+    # of the table's x^n.  Z/m -> Z/q is a ring map and f is monic, so that taken
+    # mod q is T_{q-1} mod q.
     from array import array  # loaded by the processes that compute chunks only
 
     x_powers = _x_powers()
+    t = _X2
     residues = array("q")
     shapes = []
     add_residue, add_shape = residues.append, shapes.append
@@ -187,39 +191,31 @@ def _residues_and_shapes(primes):
     end = 0
     while end < n:
         start, m = end, 1
-        while end < n and m.bit_length() < _BATCH_BITS:
+        q1 = primes[start]
+        reach = q1 + (1 << _TABLE_BITS) - 2
+        while end < n and m.bit_length() < _BATCH_BITS and primes[end] < reach:
             m *= primes[end]
             end += 1
-        prev = primes[start]
-        r0, r1, r2 = _xpow(prev, m)
+        r0, r1, r2 = _xpow(q1, m)
         for q in primes[start:end]:
-            g = q - prev
-            if g:
-                # r * x^g, folding x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1
-                s0, s1, s2 = x_powers[g] if g < 1 << _TABLE_BITS else _xpow(g, m)
-                c3 = r1 * s2 + r2 * s1
-                c4 = r2 * s2
-                t = c3 + c4
-                u = t + c4
-                r0, r1, r2 = (
-                    (r0 * s0 + t) % m,
-                    (r0 * s1 + r1 * s0 + u) % m,
-                    (r0 * s2 + r1 * s1 + r2 * s0 + u) % m,
-                )
-                prev = q
-            residue = r2 % q
+            d = q - q1
+            residue = (r0 * t[d] + r1 * t[d + 1] + r2 * t[d + 2]) % q
             add_residue(residue)
             # x^q = x exactly when f has three distinct roots, and that needs a
-            # zero residue, so r0 and r1 are reduced only then.  Otherwise, as
-            # disc(f) = -44 = -11 * 2^2, Frobenius is an even permutation (a
-            # 3-cycle) exactly when (-11|q) = 1, and a transposition when
-            # (-11|q) = -1.  Since -11 = 1 mod 4, reciprocity gives (-11|q) =
-            # (q|11), so the class is read off q mod 11: Q(sqrt(-11)) is the
-            # quadratic subfield of the splitting field.
-            if residue or r0 % q or r1 % q != 1:
-                add_shape(_NONSPLIT_SHAPE[q % 11])
-            else:
-                add_shape(Shape.THREE_DISTINCT_ROOTS)
+            # zero residue, so the other two coefficients of r * x^d are formed
+            # only then.  Otherwise, as disc(f) = -44 = -11 * 2^2, Frobenius is an
+            # even permutation (a 3-cycle) exactly when (-11|q) = 1, and a
+            # transposition when (-11|q) = -1.  Since -11 = 1 mod 4, reciprocity
+            # gives (-11|q) = (q|11), so the class is read off q mod 11:
+            # Q(sqrt(-11)) is the quadratic subfield of the splitting field.
+            shape = _NONSPLIT_SHAPE[q % 11]
+            if not residue:
+                # r * x^d, folding x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1
+                s0, s1, s2 = x_powers[d]
+                c = r1 * s2 + r2 * s1 + r2 * s2
+                if not (r0 * s0 + c) % q and (r0 * s1 + r1 * s0 + c + r2 * s2) % q == 1:
+                    shape = Shape.THREE_DISTINCT_ROOTS
+            add_shape(shape)
     # the ramified 2 and 11 keep their fixed shapes; ascending primes hold them
     # among their first five
     for i, q in enumerate(primes[:5]):

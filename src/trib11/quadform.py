@@ -10,7 +10,7 @@ Cornacchia.
 from __future__ import annotations
 
 from math import isqrt
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .modmath import PrimeLike, _sqrt_mod, require_prime
 
@@ -74,55 +74,54 @@ def _cornacchia(p: int) -> Representation:
 _MARKED = 1 << 33
 
 
-def _representations(lo: int, hi: int) -> Callable[[int], Representation]:
-    # p -> represent(p) for the primes p of the chunk [lo, hi).  Below _MARKED a
-    # chunk holds about 0.24 * (hi - lo) values x^2 + 11*y^2 on sqrt(hi/11) rows
-    # y.  A cell holds y + 1 for the last (x, y) written there; a prime has at
-    # most one representation with x, y >= 0 (Cox, Primes of the Form x^2 + ny^2),
-    # and composites, which may have several, are never read.  y < 2**16 here,
-    # so the cells are 16 bits: 64 KB for a 2**15 chunk, 512 KB for a 2**18 one.
+def _representations(lo: int, hi: int, primes) -> tuple[list, list]:
+    # the columns (xs, ys) of represent(p) = (x, y) for the ascending primes p of
+    # the chunk [lo, hi), each None where p has none.  Below _MARKED a chunk holds
+    # about 0.24 * (hi - lo) values x^2 + 11*y^2 on sqrt(hi/11) rows y.  Primes
+    # above 2 are odd, and x^2 + 11y^2 is odd exactly when x + y is, so each row
+    # walks one parity of x, and cell i, for the odd value (lo | 1) + 2i, holds
+    # y + 1 for the last (x, y) written there.  A prime has at most one
+    # representation with x, y >= 0 (Cox, Primes of the Form x^2 + ny^2), and
+    # composites, which may have several, are never read; 2 reads the cell of 3
+    # (lo >= 2), which the form never takes.  y < 2**16 here, so the cells are
+    # 16 bits: 32 KB for a 2**15 chunk, 256 KB for 2**18.
     #
-    # Each row costs one isqrt: top is its largest x, at cell v.  v < 0 leaves
-    # the row empty; v < 2*top - 1 means (top - 1)^2 + 11y^2 < lo, so x = top is
-    # the row's only value; only a row with more takes the second isqrt for its
-    # smallest x.  Near 10**9 most rows hold one value or none.  The rows cost
-    # the same whatever the chunk's width, so the walk's cost per prime falls as
-    # chunks widen.  Per prime, over 16 chunks of 2**15 (CPU time, best of 9,
-    # CPython 3.11 on a Xeon), the walk against Cornacchia cost 1.6-1.8 vs
-    # 4.3-4.4 us at 10**9, 3.1-3.6 vs 8.2-8.5 at 2**32, 4.7-6.6 vs 7.8-10.3 at
-    # 2**33, 5.9-6.8 vs 8.2-10.5 at 2**34 and 8.9-11.6 vs 8.4-8.6 at 2**35; so
-    # the marks stopped at 2**33, short of that crossover.  Over 4 chunks of
-    # 2**18, the width of scan chunks there (best of 5, 2-vCPU x86-64 host), it
-    # costs 1.1 vs 4.3-4.5 us at 10**9, 2.1-2.4 vs 11.2-11.6 ending at 2**33,
-    # 2.0-2.1 vs 9.0-9.4 at 2**34 and 2.3 vs 8.9-9.4 at 2**35: no crossover up
-    # to 2**35.  _MARKED stays at 2**33 until a workload there can claim a move.
+    # Each row costs one isqrt: top is its largest x of the row's parity, at v
+    # above the first cell's value.  v < 0 leaves the row empty; v < 4*top - 4
+    # means (top - 2)^2 + 11y^2 < lo, so x = top is the row's only value; only a
+    # row with more takes the second isqrt for its smallest x.  Near 10**9 most
+    # rows hold one value or none.  Per prime, against Cornacchia, 16 chunks of
+    # 2**15 cost 1.6-1.8 vs 4.3-4.4 us at 10**9, 4.7-6.6 vs 7.8-10.3 at 2**33 and
+    # 8.9-11.6 vs 8.4-8.6 at 2**35 (CPU time, best of 9, CPython 3.11 on a Xeon);
+    # 4 chunks of 2**18, the width there, cost 1.1 vs 4.3-4.5 us at 10**9,
+    # 2.1-2.4 vs 11.2-11.6 ending at 2**33 and 2.3 vs 8.9-9.4 at 2**35 (best of
+    # 5, 2-vCPU x86-64 host).  _MARKED stays at 2**33 until a workload above can
+    # claim a move.
     if hi > _MARKED:
-        return _cornacchia
-    marks = memoryview(bytearray(2 * (hi - lo))).cast("H")
-    rest = hi - 1 - lo  # hi - 1 - 11y^2 is rest - off
-    off = -lo  # 11y^2 - lo, the cell of x = 0
+        reps = [_cornacchia(p) for p in primes]
+        return [x for x, _ in reps], [y for _, y in reps]
+    marks = memoryview(bytearray((hi - lo + 1) // 2 * 2)).cast("H")
+    base = lo | 1
+    rest = hi - 1 - base  # hi - 1 - 11y^2 is rest - off
+    off = -base  # 11y^2 - base, the value of x = 0 above the first cell
     step = FORM_D  # 11(2y + 1), from row y to row y + 1
     for t in range(1, isqrt((hi - 1) // FORM_D) + 2):  # t = y + 1 for every 11y^2 < hi
         top = isqrt(rest - off)
+        top -= (top ^ t) & 1  # x + y odd
         v = top * top + off
         if v >= 0:
-            if v < 2 * top - 1:
-                marks[v] = t
+            if v < 4 * top - 4:
+                marks[v >> 1] = t
             else:
-                first = isqrt(-off - 1) + 1 if off < 0 else 0  # ceil(sqrt(lo - 11y^2))
-                for x in range(first, top + 1):
-                    marks[x * x + off] = t
+                first = isqrt(-off - 1) + 1 if off < 0 else 0  # ceil(sqrt(base - 11y^2))
+                for x in range(first + ((first ^ t) & 1), top + 1, 2):
+                    marks[(x * x + off) >> 1] = t
         off += step
         step += 2 * FORM_D
-
-    def representation(p: int) -> Representation:
-        t = marks[p - lo]
-        if not t:
-            return _NONE
-        y = t - 1
-        return Representation(isqrt(p - FORM_D * y * y), y)
-
-    return representation
+    ys = [marks[(p - lo) >> 1] - 1 for p in primes]
+    del marks  # before the columns, which at 10**9 hold as much
+    xs = [isqrt(p - FORM_D * y * y) if y >= 0 else None for p, y in zip(primes, ys)]
+    return xs, [y if y >= 0 else None for y in ys]
 
 
 def represent_bruteforce(n: int) -> Representation:

@@ -3,26 +3,28 @@
 For every prime p the scanner computes three facts: whether p divides
 T_{p-1}, whether p = x^2 + 11y^2, and how x^3 - x^2 - x - 1 factors mod
 p.  The first and third come from the power x^p in F_p[x]/(f), which a
-scan takes for each chunk's primes in batches that share one ladder and
-walk along the prime gaps (`gfext._residues_and_shapes`; `verdict` is the
-batch of one).  The second comes from the chunk's marks of the values
-x^2 + 11y^2 below 2^33 and from Cornacchia above (and in `verdict`);
-neither reads x^p or p mod 11, so representability shares nothing with
-that kernel.  Outside the two known exceptional primes 11 and 19 the
-first two must agree (and both must match the completely-split shape);
-any other disagreement flags the whole report as FAILED.
+scan takes for each chunk's primes in batches that share one ladder,
+each prime's residue one dot product off it
+(`gfext._residues_and_shapes`; `verdict` is the batch of one).  The
+second comes, as columns of x and y, from the chunk's marks of the
+values x^2 + 11y^2 below 2^33 and from Cornacchia above (and in
+`verdict`); neither reads x^p or p mod 11, so representability shares
+nothing with that kernel.  Outside the two known exceptional primes 11
+and 19 the first two must agree (and both must match the
+completely-split shape); any other disagreement flags the whole report
+as FAILED.
 
 A chunk runs in two phases.  Its facts come first: its primes, then
 their residues and shapes, each over all of them (`_facts`).  Then, at
-the chunk's turn, one loop takes each prime's representation, counts
-classes and violations, and renders each row from the five facts p,
-residue, shape, x and y, handing the rows on in blocks of 512 (`_finish`).
-Only `scan` and `verdict` build a `VerdictRecord`; the CLI renders its
-lines from the facts and writes each block to its output as it fills, so
-no process holds more than one block of a chunk's rendered rows.  Both
-drain their stream of chunks through one tally (`_tally`), which sums
-the counts into the report and keeps whatever rows a finish returns:
-`scan`'s records, and none from the CLI.
+the chunk's turn, `_finish` reads the representations, renders each row
+from the five facts p, residue, shape, x and y, handing the rows on in
+blocks of 512, and counts classes and violations, with no loop of its
+own per prime.  Only `scan` and `verdict` build a `VerdictRecord`; the
+CLI renders its lines from the facts and writes each block to its output
+as it fills, so no process holds more than one block of a chunk's
+rendered rows.  Both drain their stream of chunks through one tally
+(`_tally`), which sums the counts into the report and keeps whatever
+rows a finish returns: `scan`'s records, and none from the CLI.
 
 Scans are deterministic regardless of worker count: the range is cut
 into fixed chunks, 2**15 wide below 2**26 and 2**18 wide above, and cut
@@ -166,30 +168,19 @@ def _finish(row, emit, facts: tuple) -> tuple[dict[FrobeniusClass, int], list[in
     # (class counts, violations) of the chunk with these facts, the one place a
     # scan counts them.  Its rows, row(p, residue, shape, x, y) for each of its
     # primes ascending, go to emit in lists of _BLOCK rows, the last one shorter;
-    # a chunk with no prime emits none.  The blocks cost no work per row: each
-    # zips slices of the facts.  The representations never read the residue.
-    # They stream into the loop: a list of them raised the peak RSS of a scan of
-    # [2, 10**6) by 0.24 MB.
+    # a chunk with no prime emits none.  No loop here runs per prime: the rows map
+    # row over slices of the facts and of the columns of x and y, which never
+    # read the residue, and the classes are counted by shape.
     lo, hi, primes, residues, shapes = facts
-    representations = map(_representations(lo, hi), primes)
-    shape_counts = dict.fromkeys(Shape, 0)
-    violations = []
+    xs, ys = _representations(lo, hi, primes)
     for i in range(0, len(primes), _BLOCK):
         j = i + _BLOCK
-        rows = []
-        add_row = rows.append
-        # zip stops at the end of the slice of primes, before it takes a representation
-        for p, residue, shape, (x, y) in zip(primes[i:j], residues[i:j], shapes[i:j],
-                                             representations):
-            shape_counts[shape] += 1
-            # divisible (residue 0) and representable (x not None) disagree
-            if (residue == 0) is (x is None):
-                violations.append(p)
-            add_row(row(p, residue, shape, x, y))
-        emit(rows)
+        emit(list(map(row, primes[i:j], residues[i:j], shapes[i:j], xs[i:j], ys[i:j])))
     class_counts = dict.fromkeys(FrobeniusClass, 0)
-    for shape, n in shape_counts.items():
-        class_counts[shape.frobenius_class] += n
+    for shape in Shape:
+        class_counts[shape.frobenius_class] += shapes.count(shape)
+    # divisible (residue 0) and representable (x not None) disagree
+    violations = [p for p, residue, x in zip(primes, residues, xs) if (residue == 0) is (x is None)]
     return class_counts, violations
 
 

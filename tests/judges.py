@@ -3,8 +3,9 @@
 Unlike `oracles`, these share code with the package: the obstruction
 check classifies with the gcd classifier behind `splitting_type` and
 takes residues from `trib_mod`, and the reduction identity evaluates the
-root formula's ring.  What they judge, the scan's batched walk along the
-prime gaps with its p mod 11 rule, shares none of that code.
+root formula's ring.  What they judge, the scan's batches, each prime's
+residue a dot product off its batch's ladder, with their p mod 11 rule,
+share none of that code.
 """
 
 from typing import NamedTuple

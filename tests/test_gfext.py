@@ -199,6 +199,32 @@ def test_frobenius_power_examples():
     assert _xpow(47, 47) == X
 
 
+#: a prime p near 2**62 with p + 1020 and p + 1022 prime too
+_EDGE = 4611686018427389651
+
+
+@pytest.mark.parametrize("ps", [
+    [11, 1031],
+    [11, 1033],
+    [13, 17, 19, 47, 1033],
+    [_EDGE, _EDGE + 1020],
+    [_EDGE, _EDGE + 1022],
+    [_EDGE, 4611686018427389723, 4611686018427389773, _EDGE + 1020],
+], ids=str)
+def test_a_batch_reaches_1020_past_its_first_prime(ps):
+    # a batch closes before any prime 1022 or more past its first, q1, so that the
+    # table of x^k, k < 2**10, holds the x^(q - q1 + 2) its dot products read.
+    # Lists 1, 3, 4 and 6 are each one batch whose last prime lies 1020 past its
+    # first, 3 with 19, whose zero residue is no split; in 2 and 5 the prime 1022
+    # past the first opens a batch of its own
+    assert all(map(is_prime, ps)) and ps == sorted(ps)
+    residues, shapes = _residues_and_shapes(tuple(ps))
+    assert len(residues) == len(shapes) == len(ps)
+    for q, residue, shape in zip(ps, residues, shapes):
+        assert residue == _xpow(q, q)[2] == (_cubic_ring(q).gen() ** q).coeffs[2], q
+        assert shape is _gcd_shape(q)[0], q
+
+
 def test_splitting_matches_sympy_factorization():
     """Differential check against sympy's factorization mod large primes."""
     sympy = pytest.importorskip("sympy")

@@ -2,8 +2,8 @@
 
 The power ladder against `QuotientRing`, `trib_mod` against iteration,
 the fused classifier against the other two and its p mod 11 rule against
-the Legendre symbol, the batched walk along the prime gaps against the
-per-prime ladder and gcd, the prime source against trial division and
+the Legendre symbol, the batches' dot products off one ladder against
+the per-prime ladder and gcd, the prime source against trial division and
 `is_prime`, `is_prime` above 2**32 against sympy's BPSW test, the sieve's
 own BPSW on its survivors above 2**38 against `is_prime` and sympy,
 Cornacchia against the splitting shape, a scan chunk's marks of the form's
@@ -122,8 +122,8 @@ def _spread_primes(start_and_gaps):
 
 # ascending prime lists of three kinds: consecutive primes of a window (one
 # starting at 2, so 2 and 11 are in it); primes at least 2**_TABLE_BITS apart,
-# whose gap powers come from the ladder mod m and not from the table; and
-# primes of mixed sizes whose product crosses _BATCH_BITS
+# each too far past the one before to join its batch; and primes of mixed
+# sizes whose product crosses _BATCH_BITS
 prime_lists = st.one_of(
     st.just(list(primes_in_range(2, 600))),
     st.integers(2, MAX_MODULUS - 600).map(lambda lo: list(primes_in_range(lo, lo + 600))),
@@ -246,9 +246,11 @@ def test_representable_iff_three_distinct_roots(p):
 def test_marks_match_cornacchia_on_chunks_below_2_33(lo, width):
     # the marks of every x^2 + 11y^2 in [lo, hi), read at each prime
     hi = lo + width
-    representation = _representations(lo, hi)
-    for p in primes_in_range(lo, hi):
-        assert representation(p) == represent(p), p
+    primes = list(primes_in_range(lo, hi))
+    xs, ys = _representations(lo, hi, primes)
+    assert len(xs) == len(ys) == len(primes)
+    for p, x, y in zip(primes, xs, ys):
+        assert (x, y) == represent(p), p
 
 
 @reproducible

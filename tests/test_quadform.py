@@ -21,21 +21,26 @@ from oracles import brute_rep_hits, form_values, sieve_list
 WIDE = verifier._BANDS[-1][1]
 
 
+def _marked(lo, hi, ns):
+    # the representations of ns, ascending in [lo, hi), off the columns of x and y
+    # that the marks of the chunk [lo, hi) give
+    xs, ys = _representations(lo, hi, ns)
+    assert len(xs) == len(ys) == len(ns)
+    return list(map(Representation, xs, ys))
+
+
 def test_fixed_representations():
     # by Cornacchia, and off the marks of a scan chunk below 2**33
-    marks = _representations(2, 100)
-    for rep in (represent, marks):
-        assert rep(11) == Representation(0, 1)
-        assert rep(47) == Representation(6, 1)
-        assert rep(53) == Representation(3, 2)
+    ps = (11, 47, 53)
+    expected = [Representation(0, 1), Representation(6, 1), Representation(3, 2)]
+    assert [represent(p) for p in ps] == _marked(2, 100, ps) == expected
 
 
 def test_fixed_non_representations():
-    marks = _representations(2, 100)
-    for p in (2, 3, 5, 7, 13, 19):
-        for rep in (represent(p), marks(p)):
-            assert not rep.exists
-            assert rep.x is None and rep.y is None
+    ps = (2, 3, 5, 7, 13, 19)
+    for rep in [represent(p) for p in ps] + _marked(2, 100, ps):
+        assert not rep.exists
+        assert rep.x is None and rep.y is None
 
 
 def test_small_primes_take_cornacchia_not_the_oracle(monkeypatch):
@@ -64,16 +69,16 @@ def test_small_primes_take_cornacchia_not_the_oracle(monkeypatch):
 def test_marks_match_cornacchia_on_scan_chunks(lo, hi):
     # a scan chunk below _MARKED reads its representations off the marks, which
     # represent (Cornacchia) judges; the last chunk ends on the bound itself
-    representation = _representations(lo, hi)
-    for p in primes_in_range(lo, hi):
-        assert representation(p) == represent(p), p
+    primes = list(primes_in_range(lo, hi))
+    for p, rep in zip(primes, _marked(lo, hi, primes)):
+        assert rep == represent(p), p
 
 
 def _assert_marks_are_the_form_values(lo, hi):
+    # the marks hold the odd values, the only ones a prime other than 2 takes
     values = form_values(lo, hi)
-    representation = _representations(lo, hi)
-    for n in range(lo, hi):
-        rep = representation(n)
+    odd = range(lo | 1, hi, 2)
+    for n, rep in zip(odd, _marked(lo, hi, odd)):
         assert rep.exists == (n in values), n
         if rep.exists:
             assert rep.x**2 + FORM_D * rep.y**2 == n, n
@@ -81,7 +86,7 @@ def _assert_marks_are_the_form_values(lo, hi):
 
 @pytest.mark.parametrize("width", range(1, 17))
 def test_narrow_chunks_mark_exactly_the_form_values(width):
-    # every integer, not only primes: a row whose one value sits on the chunk's
+    # every odd integer, not only primes: a row whose one value sits on the chunk's
     # first or last cell is where the single-value branch of the walk can slip
     starts = [2, 3, 11, 12, 47, 100, 10**6 - 7, 10**9 + 3, 2**33 - 16]
     starts += range(2, 200, 7)

@@ -82,7 +82,7 @@ def test_verdict_matches_independent_oracles_below_5000():
     """Residue, shape and representation of the fused verdict, against brute force.
 
     Both per prime (`verdict`, a batch of one) and as a scan makes them
-    (`scan`, whose batches walk along the prime gaps).
+    (`scan`, whose batches share one ladder).
     """
     one_by_one = [verdict(p) for p in sieve_list(5000)]
     batched = scan(2, 5000).records
